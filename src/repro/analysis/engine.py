@@ -22,15 +22,15 @@ instruction mix, and all windowed-CP sizes — in one pass:
   alias pattern of its memory cells, which loops repeat almost exactly.
   The memo key is built from C-speed list slices (composite item keys
   plus cell-to-cell deltas), so repeated loop windows cost a tuple hash
-  instead of a full dependence-graph walk. Hit rates on the paper
-  workloads are ~99.9%.
-* on top of the per-window memo there is a *batch-level* memo: the
-  translated batched core flushes at block boundaries, so during a
-  steady loop successive batches are byte-for-byte repeats (same length,
-  same loop phase) whose cell streams advance uniformly. A
-  translation-invariant signature over the batch plus the carried-over
-  window tail replays the whole batch's per-window results — hundreds of
-  windows — with one tuple hash.
+  instead of a full dependence-graph walk. On STREAM with the paper
+  windows it answers ~98.7% of the lookups the flush memo leaves it.
+* on top of the per-window memo each window state has a *flush memo*:
+  the translated batched core flushes at block boundaries, so during a
+  steady loop successive flushes repeat exactly (same events, same
+  loop phase) while their cell streams advance uniformly. A
+  translation-invariant signature over the flush plus the state's own
+  carried-over window tail replays all of that state's windows in the
+  flush — hundreds of them for small windows — with one tuple hash.
 
 Results are exactly equal — field by field, including dict insertion
 order — to the legacy probes'; ``tests/test_fused_engine.py`` enforces
@@ -72,6 +72,11 @@ _CNT_MASK = 0xFFF
 #: (not entries — a W=2000 key is 500x a W=4 key). Existing entries keep
 #: serving hits; new misses are simply computed directly.
 _MEMO_MAX_ITEMS = 4_000_000
+
+#: Entries per window state's flush memo; a full memo is cleared. A
+#: signature holds the state's carry (fewer than ``size`` items) and
+#: shares the flush content with the other states' signatures.
+_FLUSH_MEMO_MAX_ENTRIES = 64
 
 
 #: Bump when the serialized shape of :class:`AnalysisResult` changes.
@@ -421,7 +426,10 @@ class FusedAnalysisEngine:
         self._memo_items = 0
         self.memo_hits = 0
         self.memo_misses = 0
-        self._batch_memo: dict = {}
+        #: One flush memo per window state, keyed by ``(size, slide)``
+        #: (not list position: clones share the memos by reference).
+        self._flush_memos: dict = {
+            (st.size, st.slide): {} for st in self._wstates}
         self.batch_memo_hits = 0
         self.batch_memo_misses = 0
         self._count_cache: dict = {}
@@ -455,12 +463,14 @@ class FusedAnalysisEngine:
         else:
             self._cp_batch(indices, read_ends, write_ends, reads, writes)
         if self._wstates:
-            if self._relative:
-                self._window_extend_relative(ti, count, read_ends,
-                                             write_ends, reads, writes)
+            # the batch is a flush holding one structure-of-arrays segment
+            if (any((a & 7) + z > 8 for a, z in reads)
+                    or any((a & 7) + z > 8 for a, z in writes)):
+                self._window_spanning(ti, count, read_ends, write_ends,
+                                      reads, writes)
             else:
-                self._window_batch(ti, count, read_ends, write_ends,
-                                   reads, writes)
+                self._window_flush(None, (-1, count), ti, count,
+                                   read_ends, write_ends, reads, writes)
 
     def _ensure_meta(self, table) -> None:
         srcs_t = self._srcs
@@ -555,9 +565,16 @@ class FusedAnalysisEngine:
                 r = r1
                 w = w1
                 si = sj
-        if windowed:
-            self._window_events(summaries, events, indices, read_ends,
-                                write_ends, reads, writes, count, spanning)
+        if windowed and spanning:
+            # cell counts differ from access counts, so the summary key
+            # templates are invalid: expand to SoA and take the exact
+            # numpy spanning path
+            ti, re_, we_ = _events_to_soa(summaries, events, indices,
+                                          read_ends, write_ends)
+            self._window_spanning(tuple(ti), count, re_, we_, reads, writes)
+        elif windowed:
+            self._window_flush(summaries, events, indices, count,
+                               read_ends, write_ends, reads, writes)
 
     def _flatten_counts(self) -> None:
         """Fold pending block execution counters into the count vector."""
@@ -765,255 +782,153 @@ class FusedAnalysisEngine:
             prev = c
         return out
 
-    def _window_batch(self, ti, count, read_ends, write_ends,
-                      reads, writes) -> None:
-        """Consume the batch's complete windows, replaying whole batches
-        from the batch-level memo when possible.
+    def _window_flush(self, summaries, events, indices, count, read_ends,
+                      write_ends, reads, writes) -> None:
+        """Advance the window states over one non-spanning flush,
+        replaying each state's windows from its flush memo when it can.
 
-        The memo signature is translation-invariant: the raw static
-        indices and access-count tuples pin every item's dependence
-        arity, the cell-to-cell deltas plus one read-to-write stream
-        offset pin the alias pattern up to translation, and the carry
-        components (the still-unconsumed window tail this batch's
-        windows reach back into) pin the cross-batch boundary. Equal
-        signatures therefore imply identical per-state window-CP
-        sequences. Keeping the signature on the *raw* batch arrays means
-        a hit never materializes composite keys or numpy arrays at all.
+        The windows a state completes in this flush see only the items
+        from its ``next_start`` on: its carry (buffered items it has not
+        consumed yet) followed by the flush. The state's signature pins
+        those items up to translating the cell streams: the flush content
+        (events plus SoA indices and ends fix every item's key; then the
+        flush's internal cell deltas), the carry's keys and internal cell
+        deltas, the flush's first delta when the carry has cells of that
+        kind (it links the carry's last cell to the flush's first; with
+        no such carry cell the flush's first cell is the stream's
+        translation base), and the read-to-write stream offset. A
+        window's CP is invariant under translating its cells, so equal
+        signatures imply an equal window-CP sequence, and the memo of the
+        state's ``(size, slide)`` replays it as one ``(cps, sum, max,
+        min)`` record. Per-retirement batches arrive as a flush holding
+        one SoA segment, so both paths share one signature family. When
+        every state replays, the flush's items are never materialized
+        beyond the still-unconsumed tail. A state none of whose windows
+        ends in the flush needs no lookup at all.
         """
-        if (any((a & 7) + w > 8 for a, w in reads)
-                or any((a & 7) + w > 8 for a, w in writes)):
-            self._window_batch_spanning(ti, count, read_ends, write_ends,
-                                        reads, writes)
-            return
         rcells = [a >> 3 for a, _ in reads]
         wcells = [a >> 3 for a, _ in writes]
         rdelta = self._cell_deltas(rcells, self._prev_rcell)
         wdelta = self._cell_deltas(wcells, self._prev_wcell)
-
-        start_min = min(st.next_start for st in self._wstates)
-        ka = start_min - self._key_base
-        crlo = (self._rends[ka - 1] if ka else self._rc_base) - self._rc_base
-        cwlo = (self._wends[ka - 1] if ka else self._wc_base) - self._wc_base
-        ncr = len(self._rcells) - crlo
-        ncw = len(self._wcells) - cwlo
-        # first cell of each stream over carry + batch, for the offset
-        if ncr:
-            first_r = self._rcells[crlo]
-        elif rcells:
-            first_r = rcells[0]
-        else:
-            first_r = None
-        if ncw:
-            first_w = self._wcells[cwlo]
-        elif wcells:
-            first_w = wcells[0]
-        else:
-            first_w = None
-        cross = (first_w - first_r
-                 if first_r is not None and first_w is not None else None)
-        # batch delta [0] links the batch to the carry's last cell; when
-        # the carry stream is empty it links to a pre-carry cell no
-        # window can see, so it is dropped (the batch's first cell then
-        # *is* the stream's translation base)
-        sig = (
-            tuple(self._keys[ka:]),
-            tuple(st.next_start - start_min for st in self._wstates),
-            tuple(self._rdeltas[crlo + 1:]),
-            tuple(self._wdeltas[cwlo + 1:]),
-            ti,
-            tuple(read_ends),
-            tuple(write_ends),
-            tuple(rdelta if ncr else rdelta[1:]),
-            tuple(wdelta if ncw else wdelta[1:]),
-            cross,
-        )
-
+        rbuf = self._rcells
+        wbuf = self._wcells
+        rc_base = self._rc_base
+        wc_base = self._wc_base
         item_base = self._key_base + len(self._keys)
-        rtot = self._rc_base + len(self._rcells)
-        wtot = self._wc_base + len(self._wcells)
-        replay = self._batch_memo.get(sig)
-        if replay is not None:
-            self.batch_memo_hits += 1
-            self._apply_replay(replay)
-            min_next = min(st.next_start for st in self._wstates)
-            skip = min_next - item_base
-            if skip >= 0:
-                # every pre-batch item was consumed: rebuild the rolling
-                # buffers as exactly the unconsumed batch tail (extending
-                # with the full batch only to trim it later would touch
-                # ~50x more items than the tail holds)
-                pr = read_ends[skip - 1] if skip else 0
-                pw = write_ends[skip - 1] if skip else 0
-                keys = []
-                kap = keys.append
-                r0 = pr
-                w0 = pw
-                for p in range(skip, count):
-                    r1 = read_ends[p]
-                    w1 = write_ends[p]
-                    kap((ti[p] << _IDX_SHIFT) | ((r1 - r0) << _RC_SHIFT)
-                        | (w1 - w0))
-                    r0 = r1
-                    w0 = w1
-                self._keys = keys
-                self._rends = [rtot + r for r in read_ends[skip:]]
-                self._wends = [wtot + w for w in write_ends[skip:]]
-                self._rcells = rcells[pr:]
-                self._rdeltas = rdelta[pr:]
-                self._wcells = wcells[pw:]
-                self._wdeltas = wdelta[pw:]
-                self._key_base = min_next
-                self._rc_base = rtot + pr
-                self._wc_base = wtot + pw
-                if rcells:
-                    self._prev_rcell = rcells[-1]
-                if wcells:
-                    self._prev_wcell = wcells[-1]
-                return
-            self._extend_buffers(ti, count, read_ends, write_ends,
-                                 rcells, wcells, rdelta, wdelta)
-            self._trim()
-            return
+        rtot = rc_base + len(rbuf)
+        wtot = wc_base + len(wbuf)
+        pending = []
+        if not self._relative:
+            keys = self._keys
+            rends = self._rends
+            wends = self._wends
+            flush = (tuple(events), tuple(indices), tuple(read_ends),
+                     tuple(write_ends), tuple(rdelta[1:]), tuple(wdelta[1:]))
+            rlink = rdelta[0] if rcells else None
+            wlink = wdelta[0] if wcells else None
+            end = item_base + count
+            for st in self._wstates:
+                if st.next_start + st.size > end:
+                    continue
+                ka = st.next_start - self._key_base
+                crlo = (rends[ka - 1] if ka else rc_base) - rc_base
+                cwlo = (wends[ka - 1] if ka else wc_base) - wc_base
+                carry_r = crlo < len(rbuf)
+                carry_w = cwlo < len(wbuf)
+                first_r = (rbuf[crlo] if carry_r
+                           else rcells[0] if rcells else None)
+                first_w = (wbuf[cwlo] if carry_w
+                           else wcells[0] if wcells else None)
+                sig = (flush, tuple(keys[ka:]),
+                       tuple(self._rdeltas[crlo + 1:]),
+                       tuple(self._wdeltas[cwlo + 1:]),
+                       rlink if carry_r else None,
+                       wlink if carry_w else None,
+                       None if first_r is None or first_w is None
+                       else first_w - first_r)
+                memo = self._flush_memos[st.size, st.slide]
+                record = memo.get(sig)
+                if record is None:
+                    self.batch_memo_misses += 1
+                    pending.append((st, memo, sig))
+                else:
+                    self.batch_memo_hits += 1
+                    self._apply_record(st, record)
 
-        self.batch_memo_misses += 1
-        self._extend_buffers(ti, count, read_ends, write_ends,
-                             rcells, wcells, rdelta, wdelta)
-        recorded = self._consume_windows()
-        if len(self._batch_memo) >= 256:
-            self._batch_memo.clear()
-        self._batch_memo[sig] = recorded
-        self._trim()
-
-    def _apply_replay(self, replay) -> None:
-        """Apply a batch-memo replay record to every window state."""
-        for st, (cps, total, mx, mn) in zip(self._wstates, replay):
-            n = len(cps)
-            if n:
-                res = st.result
-                res.count += n
-                res.total_cp += total
-                if mx > res.max_cp:
-                    res.max_cp = mx
-                if res.min_cp == 0 or mn < res.min_cp:
-                    res.min_cp = mn
-                if st.keep_cps:
-                    res.cps.extend(cps)
-                st.next_start += n * st.slide
-
-    def _window_events(self, summaries, events, indices, read_ends,
-                       write_ends, reads, writes, count, spanning) -> None:
-        """Event-stream twin of :meth:`_window_batch`: advance the window
-        states over one block-summary flush. Per-item keys and cell ends
-        come from the summaries' precomputed templates, so a memo hit
-        never materializes per-retirement items at all, and a miss emits
-        them wholesale (``_emit_items``) instead of item by item."""
-        if spanning:
-            # cell counts differ from access counts, so the summary key
-            # templates are invalid: expand to SoA and take the exact
-            # numpy spanning path
-            ti, re_, we_ = _events_to_soa(summaries, events, indices,
-                                          read_ends, write_ends)
-            self._window_batch_spanning(tuple(ti), count, re_, we_,
-                                        reads, writes)
-            return
-        rcells = [a >> 3 for a, _ in reads]
-        wcells = [a >> 3 for a, _ in writes]
-        rdelta = self._cell_deltas(rcells, self._prev_rcell)
-        wdelta = self._cell_deltas(wcells, self._prev_wcell)
-
-        start_min = min(st.next_start for st in self._wstates)
-        ka = start_min - self._key_base
-        crlo = (self._rends[ka - 1] if ka else self._rc_base) - self._rc_base
-        cwlo = (self._wends[ka - 1] if ka else self._wc_base) - self._wc_base
-        ncr = len(self._rcells) - crlo
-        ncw = len(self._wcells) - cwlo
-        if ncr:
-            first_r = self._rcells[crlo]
-        elif rcells:
-            first_r = rcells[0]
+        skip = min(st.next_start for st in self._wstates) - item_base
+        # with every state replayed past the pre-flush items, rebuild the
+        # buffers as exactly the unconsumed flush tail (extending with the
+        # whole flush only to trim it later touches ~50x more items)
+        tail = not pending and skip >= 0
+        if tail:
+            self._keys = []
+            self._rends = []
+            self._wends = []
+        pr, pw = self._emit_items(
+            summaries, events, indices, read_ends, write_ends,
+            skip if tail else 0, rtot, wtot,
+            self._keys, self._rends, self._wends)
+        if tail:
+            self._rcells = rcells[pr:]
+            self._rdeltas = rdelta[pr:]
+            self._wcells = wcells[pw:]
+            self._wdeltas = wdelta[pw:]
+            self._key_base = item_base + skip
+            self._rc_base = rtot + pr
+            self._wc_base = wtot + pw
         else:
-            first_r = None
-        if ncw:
-            first_w = self._wcells[cwlo]
-        elif wcells:
-            first_w = wcells[0]
-        else:
-            first_w = None
-        cross = (first_w - first_r
-                 if first_r is not None and first_w is not None else None)
-        # same translation-invariance argument as the batch signature;
-        # the event list replaces the per-item index/end tuples for the
-        # block-run portion of the flush (11 components vs the batch
-        # path's 10, so the two families can never collide in the memo)
-        sig = (
-            tuple(self._keys[ka:]),
-            tuple(st.next_start - start_min for st in self._wstates),
-            tuple(self._rdeltas[crlo + 1:]),
-            tuple(self._wdeltas[cwlo + 1:]),
-            tuple(events),
-            tuple(indices),
-            tuple(read_ends),
-            tuple(write_ends),
-            tuple(rdelta if ncr else rdelta[1:]),
-            tuple(wdelta if ncw else wdelta[1:]),
-            cross,
-        )
-
-        item_base = self._key_base + len(self._keys)
-        rtot = self._rc_base + len(self._rcells)
-        wtot = self._wc_base + len(self._wcells)
-        replay = self._batch_memo.get(sig)
-        if replay is not None:
-            self.batch_memo_hits += 1
-            self._apply_replay(replay)
-            min_next = min(st.next_start for st in self._wstates)
-            skip = min_next - item_base
-            if skip >= 0:
-                keys, rends, wends, pr, pw = self._emit_items(
-                    summaries, events, indices, read_ends, write_ends,
-                    skip, rtot, wtot)
-                self._keys = keys
-                self._rends = rends
-                self._wends = wends
-                self._rcells = rcells[pr:]
-                self._rdeltas = rdelta[pr:]
-                self._wcells = wcells[pw:]
-                self._wdeltas = wdelta[pw:]
-                self._key_base = min_next
-                self._rc_base = rtot + pr
-                self._wc_base = wtot + pw
-                if rcells:
-                    self._prev_rcell = rcells[-1]
-                if wcells:
-                    self._prev_wcell = wcells[-1]
-                return
-            self._extend_from_events(summaries, events, indices,
-                                     read_ends, write_ends, rcells,
-                                     wcells, rdelta, wdelta, rtot, wtot)
+            rbuf.extend(rcells)
+            self._rdeltas.extend(rdelta)
+            wbuf.extend(wcells)
+            self._wdeltas.extend(wdelta)
+        if rcells:
+            self._prev_rcell = rcells[-1]
+        if wcells:
+            self._prev_wcell = wcells[-1]
+        for st, memo, sig in pending:
+            record = self._state_record(st)
+            if len(memo) >= _FLUSH_MEMO_MAX_ENTRIES:
+                memo.clear()
+            memo[sig] = record
+            self._apply_record(st, record)
+        if not tail:
             self._trim()
-            return
 
-        self.batch_memo_misses += 1
-        self._extend_from_events(summaries, events, indices, read_ends,
-                                 write_ends, rcells, wcells, rdelta,
-                                 wdelta, rtot, wtot)
-        recorded = self._consume_windows()
-        if len(self._batch_memo) >= 256:
-            self._batch_memo.clear()
-        self._batch_memo[sig] = recorded
-        self._trim()
+    def _state_record(self, st: _WState) -> tuple:
+        """``(cps, sum, max, min)`` of ``st``'s not yet consumed windows
+        that the buffered items complete, each CP from the window memo."""
+        size = st.size
+        last = self._key_base + len(self._keys) - size
+        cps = tuple([self._window_cp_memo(start, size)
+                     for start in range(st.next_start, last + 1, st.slide)])
+        return cps, sum(cps), max(cps, default=0), min(cps, default=0)
+
+    @staticmethod
+    def _apply_record(st: _WState, record: tuple) -> None:
+        """Fold a ``(cps, sum, max, min)`` record into ``st``'s result and
+        advance it past those windows."""
+        cps, total, mx, mn = record
+        n = len(cps)
+        if n:
+            res = st.result
+            res.count += n
+            res.total_cp += total
+            if mx > res.max_cp:
+                res.max_cp = mx
+            if res.min_cp == 0 or mn < res.min_cp:
+                res.min_cp = mn
+            if st.keep_cps:
+                res.cps.extend(cps)
+            st.next_start += n * st.slide
 
     def _emit_items(self, summaries, events, indices, read_ends,
-                    write_ends, skip, rtot, wtot):
-        """Composite keys and global cell ends for flush items
-        ``[skip, count)``; returns ``(keys, rends, wends, pr, pw)`` where
-        ``pr``/``pw`` are the flush-local access counts at item ``skip``.
+                    write_ends, skip, rtot, wtot, keys, rends, wends):
+        """Append the composite keys and global cell ends of flush items
+        ``[skip, count)`` to ``keys``/``rends``/``wends``; returns
+        ``(pr, pw)``, the flush-local access counts at item ``skip``.
         Valid only for non-spanning flushes (cell count == access
         count). Block runs emit whole key templates per execution; the
         end lists use one vectorized outer add per long run."""
-        keys: list = []
-        rends: list = []
-        wends: list = []
         pos = 0
         racc = 0
         wacc = 0
@@ -1112,54 +1027,24 @@ class FusedAnalysisEngine:
         if pr is None:
             pr = racc
             pw = wacc
-        return keys, rends, wends, pr, pw
+        return pr, pw
 
-    def _extend_from_events(self, summaries, events, indices, read_ends,
-                            write_ends, rcells, wcells, rdelta, wdelta,
-                            rtot, wtot) -> None:
-        keys, rends, wends, _pr, _pw = self._emit_items(
-            summaries, events, indices, read_ends, write_ends, 0,
-            rtot, wtot)
-        self._keys.extend(keys)
-        self._rends.extend(rends)
-        self._wends.extend(wends)
-        if rcells:
-            self._prev_rcell = rcells[-1]
-            self._rcells.extend(rcells)
-            self._rdeltas.extend(rdelta)
-        if wcells:
-            self._prev_wcell = wcells[-1]
-            self._wcells.extend(wcells)
-            self._wdeltas.extend(wdelta)
-
-    def _window_batch_spanning(self, ti, count, read_ends, write_ends,
-                               reads, writes) -> None:
-        """Rare path: some access in the batch spans an 8-byte-cell
+    def _window_spanning(self, ti, count, read_ends, write_ends,
+                         reads, writes) -> None:
+        """Rare path: some access in the flush spans an 8-byte-cell
         boundary, so post-expansion cell counts differ from the raw
-        access counts and the raw-array signature no longer determines
-        the composite keys. Expand via numpy and consume windows
-        directly, bypassing the batch memo."""
+        access counts and the flush content no longer determines the
+        composite keys. Expand via numpy and consume windows directly,
+        bypassing the flush memo. Relative engines only buffer items:
+        their windows are consumed after the state is merged onto an
+        absolute prefix, when the items reaching back across the
+        boundary are known."""
         self._extend_spanning(ti, count, read_ends, write_ends,
                               reads, writes)
-        self._consume_windows()
-        self._trim()
-
-    def _window_extend_relative(self, ti, count, read_ends, write_ends,
-                                reads, writes) -> None:
-        """Relative engines only buffer window items — windows are
-        consumed after the state is merged onto an absolute prefix, when
-        the items reaching back across the boundary are known."""
-        if (any((a & 7) + z > 8 for a, z in reads)
-                or any((a & 7) + z > 8 for a, z in writes)):
-            self._extend_spanning(ti, count, read_ends, write_ends,
-                                  reads, writes)
-            return
-        rcells = [a >> 3 for a, _ in reads]
-        wcells = [a >> 3 for a, _ in writes]
-        rdelta = self._cell_deltas(rcells, self._prev_rcell)
-        wdelta = self._cell_deltas(wcells, self._prev_wcell)
-        self._extend_buffers(ti, count, read_ends, write_ends,
-                             rcells, wcells, rdelta, wdelta)
+        if not self._relative:
+            for st in self._wstates:
+                self._apply_record(st, self._state_record(st))
+            self._trim()
 
     def _extend_spanning(self, ti, count, read_ends, write_ends,
                          reads, writes) -> None:
@@ -1190,58 +1075,6 @@ class FusedAnalysisEngine:
             self._prev_wcell = wcells[-1]
             self._wcells.extend(wcells)
             self._wdeltas.extend(wdelta)
-
-    def _extend_buffers(self, ti, count, read_ends, write_ends,
-                        rcells, wcells, rdelta, wdelta) -> None:
-        rtot = self._rc_base + len(self._rcells)
-        wtot = self._wc_base + len(self._wcells)
-        keys = self._keys
-        kap = keys.append
-        r0 = 0
-        w0 = 0
-        for p in range(count):
-            r1 = read_ends[p]
-            w1 = write_ends[p]
-            kap((ti[p] << _IDX_SHIFT) | ((r1 - r0) << _RC_SHIFT) | (w1 - w0))
-            r0 = r1
-            w0 = w1
-        self._rends.extend([rtot + r for r in read_ends])
-        self._wends.extend([wtot + w for w in write_ends])
-        if rcells:
-            self._prev_rcell = rcells[-1]
-            self._rcells.extend(rcells)
-            self._rdeltas.extend(rdelta)
-        if wcells:
-            self._prev_wcell = wcells[-1]
-            self._wcells.extend(wcells)
-            self._wdeltas.extend(wdelta)
-
-    def _consume_windows(self) -> list:
-        """Advance every window state over the buffered items, returning
-        the per-state ``(cps, sum, max, min)`` replay records."""
-        total_items = self._key_base + len(self._keys)
-        recorded = []
-        for st in self._wstates:
-            size = st.size
-            slide = st.slide
-            res = st.result
-            keep = st.keep_cps
-            cps = []
-            while st.next_start + size <= total_items:
-                cp = self._window_cp_memo(st.next_start, size)
-                cps.append(cp)
-                res.count += 1
-                res.total_cp += cp
-                if cp > res.max_cp:
-                    res.max_cp = cp
-                if res.min_cp == 0 or cp < res.min_cp:
-                    res.min_cp = cp
-                if keep:
-                    res.cps.append(cp)
-                st.next_start += slide
-            recorded.append((tuple(cps), sum(cps),
-                             max(cps, default=0), min(cps, default=0)))
-        return recorded
 
     def _window_cp_memo(self, start: int, size: int) -> int:
         ka = start - self._key_base
@@ -1355,15 +1188,7 @@ class FusedAnalysisEngine:
                            - self._wc_base)
                     cp = self._window_cp(ka, total_items - self._key_base,
                                          rlo, wlo)
-                    res = st.result
-                    res.count += 1
-                    res.total_cp += cp
-                    if cp > res.max_cp:
-                        res.max_cp = cp
-                    if res.min_cp == 0 or cp < res.min_cp:
-                        res.min_cp = cp
-                    if st.keep_cps:
-                        res.cps.append(cp)
+                    self._apply_record(st, ((cp,), cp, cp, cp))
                     st.next_start = total_items
                 windowed[st.size] = st.result
 
@@ -1425,7 +1250,7 @@ class FusedAnalysisEngine:
 
     def clone(self) -> "FusedAnalysisEngine":
         """Independent copy of this engine's accumulated state. Pure
-        caches (the window-CP and batch memos, the bincount cache, the
+        caches (the window-CP and flush memos, the bincount cache, the
         summaries' stitch functions) are shared by reference — they are
         deterministic functions of their keys, so sharing is safe."""
         new = FusedAnalysisEngine.__new__(FusedAnalysisEngine)
@@ -1584,7 +1409,8 @@ class FusedAnalysisEngine:
                 self._wcells.extend(other._wcells)
                 self._prev_wcell = other._wcells[-1]
             if not rel:
-                self._consume_windows()
+                for st in self._wstates:
+                    self._apply_record(st, self._state_record(st))
                 self._trim()
 
     def _rebase(self, other: "FusedAnalysisEngine") -> list[int]:

@@ -611,6 +611,15 @@ def _cmd_run(args) -> int:
                   f"{summary['translated_plans']} simulations, "
                   f"{pct:.1f}% of block instructions inlined",
                   file=sys.stderr)
+            if "flush_memo_hits" in translation:
+                flush_hits = translation["flush_memo_hits"]
+                window_hits = translation["window_memo_hits"]
+                print(f"windowed memo: {flush_hits} of "
+                      f"{flush_hits + translation['flush_memo_misses']} "
+                      f"window-state flushes replayed, "
+                      f"{window_hits + translation['window_memo_misses']} "
+                      f"windows computed one by one ({window_hits} memo "
+                      f"hits)", file=sys.stderr)
     return 0
 
 

@@ -237,9 +237,20 @@ def _run_fused_config(workload, isa, profile, compiled, cfg, model,
         max_instructions=max_instructions, batch_sinks=sinks,
         translate=translate,
     )
+    translation = run.result.translation
+    if translation is not None and cfg.windowed:
+        # the memo counters ride the telemetry-only translation dict, so
+        # the TimingCollector sums them like the block counters
+        translation = {
+            **translation,
+            "window_memo_hits": engine.memo_hits,
+            "window_memo_misses": engine.memo_misses,
+            "flush_memo_hits": engine.batch_memo_hits,
+            "flush_memo_misses": engine.batch_memo_misses,
+        }
     return ConfigResult.from_analysis(
         workload.name, isa, profile, engine.results(),
-        translation=run.result.translation,
+        translation=translation,
     )
 
 

@@ -88,8 +88,8 @@ _EMPTY: tuple = ()
 #: Default retirement-batch size for ``run_batched``. Large enough that
 #: per-batch numpy/flush overhead amortizes, small enough that the batch
 #: buffers stay cache-resident and that steady loops repeat whole batches
-#: often (the fused engine's batch-level window memo keys on exact batch
-#: repetition, so shorter batches repeat sooner and hit more).
+#: often (the fused engine's per-window-state flush memo keys on exact
+#: batch repetition, so shorter batches repeat sooner and hit more).
 DEFAULT_BATCH_SIZE = 1024
 
 #: Probe-free budget accounting granularity: the inner loop runs up to

@@ -16,6 +16,13 @@ Before block summaries the fused engine cost ~7× raw translation; the
 summary layer's whole point is closing that gap, so it regressing past
 2.5× fails the build.
 
+It also guards the windowed-CP flush memo with a count, not a timing:
+on STREAM under the seven paper window sizes, the windows computed one
+by one (per-window memo lookups) may be at most
+``WINDOW_LOOKUP_MAX_SHARE`` of all windows completed, on both ISAs. The
+rest must come from replayed flushes; the count is deterministic, so it
+cannot flap.
+
 It then runs a fault-injection smoke: the 4-config STREAM matrix across
 a 2-worker pool with one injected worker crash — the resilient executor
 must retry the killed plan and complete the suite (docs/robustness.md).
@@ -88,6 +95,12 @@ SHARD_SCALE = 0.05
 #: cost at most this multiple of the raw translated run.
 ANALYZED_MAX_RATIO = 2.5
 
+#: Windows computed one by one (per-window memo hits + misses) may be at
+#: most this share of the windows completed, on STREAM at ``SCALE`` with
+#: the paper window sizes. Replaying whole flushes per window state
+#: keeps it near 10-12%; without flush replays it is 100%.
+WINDOW_LOOKUP_MAX_SHARE = 0.25
+
 #: Warm execution may cost at most this multiple of fresh execution —
 #: cache bookkeeping is cheap, so anything past a noise margin means
 #: the warm path has regressed into overhead.
@@ -139,6 +152,34 @@ def _best_ratio_pair(compiled, isa) -> tuple[float, float, float]:
         if best_r is None or analyzed / trans < best_r:
             best_r = analyzed / trans
     return best_t, best_a, best_r
+
+
+def _window_memo_guard(workload) -> int:
+    """Most paper-window CPs must come from replayed flushes."""
+    from repro.analysis import FusedAnalysisEngine
+    from repro.analysis.windowed import PAPER_WINDOW_SIZES
+
+    for isa_name in ("rv64", "aarch64"):
+        compiled = workload.compile(isa_name, "gcc12")
+        engine = FusedAnalysisEngine(regions=compiled.image.regions,
+                                     windowed=True,
+                                     window_sizes=PAPER_WINDOW_SIZES)
+        run_image(compiled.image, get_isa(compiled.isa_name),
+                  batch_sinks=[engine])
+        completed = sum(r.count for r in engine.results().windowed.values())
+        one_by_one = engine.memo_hits + engine.memo_misses
+        share = one_by_one / completed
+        print(f"window memo: {isa_name} computed {one_by_one} of "
+              f"{completed} windows one by one ({share:.1%}); "
+              f"{engine.batch_memo_hits} window-state flushes replayed")
+        if share > WINDOW_LOOKUP_MAX_SHARE:
+            print(f"FAIL: {share:.1%} of windows computed one by one on "
+                  f"{isa_name} (limit {WINDOW_LOOKUP_MAX_SHARE:.0%}) — the "
+                  f"flush memo has stopped replaying", file=sys.stderr)
+            return 1
+    print(f"OK: at most {WINDOW_LOOKUP_MAX_SHARE:.0%} of windows computed "
+          f"one by one")
+    return 0
 
 
 def _fault_smoke() -> int:
@@ -561,7 +602,8 @@ def main() -> int:
         return 1
     print(f"OK: fused analysis within {ANALYZED_MAX_RATIO}x of raw "
           f"translation")
-    return _fault_smoke() or _shard_smoke() or _warm_smoke()
+    return (_window_memo_guard(workload) or _fault_smoke()
+            or _shard_smoke() or _warm_smoke())
 
 
 if __name__ == "__main__":
