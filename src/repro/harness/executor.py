@@ -149,7 +149,8 @@ def execute_plan(plan: ExperimentPlan,
     — fingerprint-verified on every reuse, a mismatch raises the
     transient :class:`WarmStateError` — and the image's translated
     block/summary sources round-trip through the on-disk block store,
-    so repeat plans skip compile + decode + per-block codegen.
+    so repeat plans skip the image compile and each block's
+    ``compile()`` (decode, inlining and source generation still run).
 
     Fault-injection site ``execute`` fires here (transient/error/hang),
     covering both the serial path and worker processes; the ``warm``

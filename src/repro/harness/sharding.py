@@ -215,7 +215,7 @@ def _shard_child(conn, payload: dict) -> None:
         if warm_blocks:
             # Draw translated block/summary sources from the same
             # on-disk warm level the pool workers use: a spawn-started
-            # slice (no inherited code cache) skips per-block codegen.
+            # slice (no inherited code cache) skips each block's compile().
             from repro.harness.cache import BlockStore
             from repro.harness.warmcache import preload_sources
 

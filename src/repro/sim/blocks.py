@@ -101,6 +101,11 @@ _PC_ASSIGN = re.compile(r"^\s*m\.pc = ")
 #: A fallback executor call — may set ``m.pc`` internally, so its
 #: presence disables the loop-local PC transform.
 _FALLBACK_CALL = re.compile(r"^\s*_e\d+\(m\)$")
+#: An identifier-like run. Binding names are identifiers, so a block's
+#: text matches ``\bname\b`` exactly when ``name`` is one of its maximal
+#: ``\w+`` runs: one scan finds every free name, whatever the number of
+#: bindings in scope.
+_WORD = re.compile(r"\w+")
 
 # entry layout (a mutable list, indexed by the run loops):
 # [0] fn        compiled block function (None until first execution on
@@ -410,20 +415,24 @@ class _TranslatorBase:
     def _assemble(self, body_lines, local_bindings, params="m"):
         """Compile a block function whose body is ``body_lines``; every
         referenced binding is passed as a default argument (LOAD_FAST in
-        the hot path), the rest resolve through the exec namespace."""
+        the hot path), in the order of the translator's bindings followed
+        by the block's own. The exec namespace holds those bindings
+        only, so the cost tracks the block, not the bindings in scope."""
         if _FAULT_HOOK is not None:
             _FAULT_HOOK("translate-compile")
-        namespace = dict(self.ctx.bindings)
-        namespace.update(local_bindings)
         # fold the zero-immediate address form ``A + (0) & M`` to
         # ``A & M`` — safe for any A because ``+`` binds tighter than
         # ``&`` and no operator looser than ``&`` can capture the operand
         body_lines = [line.replace(" + (0) & ", " & ")
                       if " + (0) & " in line else line
                       for line in body_lines]
-        text = "\n".join(body_lines)
-        used = [name for name in namespace
-                if re.search(rf"\b{re.escape(name)}\b", text)]
+        words = set(_WORD.findall("\n".join(body_lines)))
+        shared = self.ctx.bindings
+        used = self.ctx.bound_names(words) + [
+            name for name in local_bindings
+            if name in words and name not in shared]
+        namespace = {name: local_bindings[name] if name in local_bindings
+                     else shared[name] for name in used}
         header = f"def _blk({params}"
         if used:
             header += ", " + ", ".join(f"{n}={n}" for n in used)

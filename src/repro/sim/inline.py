@@ -30,7 +30,7 @@ to calling the executor, which is always correct.
 
 With ``fast_memory`` (used when the memory access log is off) the
 scalar :class:`~repro.sim.memory.Memory` accessors are additionally
-specialized to direct ``bytearray``/``struct`` operations behind an
+specialized to direct buffer/``struct`` operations behind an
 inline bounds check, with the out-of-bounds path delegating to the real
 method so fault semantics are unchanged. ``record_memory`` (the batched
 path, where the log is *on* for the whole run) does the same but also
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import itertools
 import math
 import struct
 import textwrap
@@ -183,7 +184,7 @@ def _call_args(call, name):
 
 def _specialize_memory(stmt, fresh, widths, record):
     """Rewrite a whole-statement scalar memory access to direct
-    ``bytearray``/``struct`` operations behind an inline bounds check.
+    buffer/``struct`` operations behind an inline bounds check.
     Returns replacement source lines, or None to keep the statement.
     Bounds limits are emitted as ``«Lw»`` tokens (the machine's memory
     size is not known at template time); temporaries as ``«tN»``. With
@@ -420,6 +421,22 @@ class InlineContext:
             self.bindings["_RAP"] = memory.reads.append
             self.bindings["_WAP"] = memory.writes.append
         self._mem_methods: dict[str, str] = {}
+        self._order: dict[str, int] = {}
+
+    def bound_names(self, words):
+        """The names among ``words`` that are bound here, in binding order.
+
+        Costs O(len(words)), not O(bindings): ``bindings`` only grows
+        (:meth:`bind` never rebinds or removes a name), so each name's
+        position is fixed once bound and the index only has to be
+        extended by the names bound since the last call.
+        """
+        bindings, order = self.bindings, self._order
+        if len(order) < len(bindings):
+            for name in itertools.islice(bindings, len(order), None):
+                order[name] = len(order)
+        return sorted((w for w in words if w in bindings),
+                      key=order.__getitem__)
 
     def bind(self, name, value):
         """Bind ``value`` under ``name`` (or an alias on conflict);

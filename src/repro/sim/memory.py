@@ -1,11 +1,18 @@
 """Flat little-endian simulated memory.
 
-One contiguous ``bytearray`` covers the whole simulated address space
-(default 16 MiB — plenty for the statically linked workloads, which place
-text at 64 KiB, data at 2 MiB and the stack just below the top). A flat
-array keeps loads/stores on the emulation hot path to a couple of slice
+One contiguous buffer covers the whole simulated address space (default
+16 MiB — plenty for the statically linked workloads, which place text at
+64 KiB, data at 2 MiB and the stack just below the top). A flat array
+keeps loads/stores on the emulation hot path to a couple of slice
 operations; per the profiling guidance in the HPC-Python guides, this is
 the single hottest data structure in the repository.
+
+The buffer is a private anonymous ``mmap``, not a ``bytearray``: the
+kernel zero-fills its pages on first touch, so a run is resident only in
+the pages the guest writes, and the whole mapping goes back to the
+system when the ``Memory`` is freed. A zeroed ``bytearray`` would be
+resident in full, and a long-lived worker's RSS would grow in 16 MiB
+steps whose count depends on where the allocator places each one.
 
 When ``start_recording`` has been called, every access appends
 ``(address, size)`` to the read/write logs — the emulation core drains
@@ -15,6 +22,7 @@ the paper tracks critical paths "for each memory address used").
 
 from __future__ import annotations
 
+import mmap
 import struct
 
 from repro.common import SimulationError
@@ -30,7 +38,9 @@ class Memory:
 
     def __init__(self, size: int = 1 << 24):
         self.size = size
-        self.data = bytearray(size)
+        # MAP_PRIVATE: a forked child gets a copy-on-write view, exactly
+        # as it would of a bytearray, never a mapping shared with its parent
+        self.data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self.reads: list[tuple[int, int]] = []
         self.writes: list[tuple[int, int]] = []
         self.recording = False
@@ -131,7 +141,7 @@ class Memory:
         """Write page diffs produced by :meth:`diff_pages` back in place.
 
         Mutates ``data`` in place (never rebinds it) — compiled block
-        functions hold the bytearray by object identity.
+        functions hold the buffer by object identity.
         """
         data = self.data
         for index, blob in pages.items():

@@ -11,12 +11,15 @@ plumbing (plan field, events, CLI flag).
 
 from __future__ import annotations
 
+import ast
+import re
+
 import pytest
 
 from repro.asm import assemble
 from repro.common import SimulationError
 from repro.loader import load_program, program_to_image
-from repro.sim import EmulationCore, Machine, Memory, run_image
+from repro.sim import EmulationCore, Machine, Memory, blocks, run_image
 from tests.conftest import RV_EXIT
 
 
@@ -388,3 +391,113 @@ class TestFullDifferential:
         ]
         for a, b in pairs:
             assert a.render() == b.render()
+
+
+def _per_name_free_names(namespace, text):
+    """The oracle for the free-name scan: one ``\\bname\\b`` search per
+    binding in scope, in namespace order."""
+    return [name for name in namespace
+            if re.search(rf"\b{re.escape(name)}\b", text)]
+
+
+def _default_args(source):
+    fn = ast.parse(source).body[0]
+    args = fn.args.args
+    return [a.arg for a in args[len(args) - len(fn.args.defaults):]]
+
+
+class _NullBatchSink:
+    """Per-retirement batch sink (no block-summary events): forces the
+    batch translator."""
+
+    needs_memory = True
+
+    def on_batch(self, *args):
+        pass
+
+
+class TestFreeNameScan:
+    """A block function's default arguments are the bindings its text
+    names. One identifier scan picks them; a regex search per binding in
+    scope is the oracle."""
+
+    SCALE = 0.005
+    WORKLOADS = ("stream", "lbm", "cloverleaf", "minibude", "minisweep")
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record every assembled block as (translator, chosen names,
+        oracle names, source)."""
+        seen = []
+        sources = []
+        compile_fn = blocks._compile_fn
+        assemble = blocks._TranslatorBase._assemble
+
+        def spy_compile(source, namespace):
+            sources.append((source, namespace))
+            return compile_fn(source, namespace)
+
+        def spy_assemble(self, body_lines, local_bindings, params="m"):
+            scope = dict(self.ctx.bindings)
+            scope.update(local_bindings)
+            fn = assemble(self, body_lines, local_bindings, params)
+            source, namespace = sources.pop()
+            text = "\n".join(line[4:] for line in source.split("\n")[1:])
+            chosen = _default_args(source)
+            assert all(namespace[n] is scope[n] for n in chosen)
+            seen.append((type(self).__name__, chosen,
+                         _per_name_free_names(scope, text), source))
+            return fn
+
+        monkeypatch.setattr(blocks, "_compile_fn", spy_compile)
+        monkeypatch.setattr(blocks._TranslatorBase, "_assemble", spy_assemble)
+        return seen
+
+    @pytest.mark.parametrize("isa_name", ["rv64", "aarch64"])
+    def test_matches_per_name_search_on_every_workload(self, monkeypatch,
+                                                       isa_name):
+        from repro.analysis import FusedAnalysisEngine
+        from repro.isa import get_isa
+        from repro.workloads import get_workload
+
+        isa = get_isa(isa_name)
+        seen = self._spy(monkeypatch)
+        for name in self.WORKLOADS:
+            image = get_workload(name, self.SCALE).compile(
+                isa_name, "gcc12").image
+            run_image(image, isa)
+            run_image(image, isa, batch_sinks=[_NullBatchSink()])
+            run_image(image, isa, batch_sinks=[
+                FusedAnalysisEngine(regions=image.regions)])
+        assert {kind for kind, *_ in seen} == {
+            "BlockTranslator", "BatchTranslator", "SummaryTranslator"}
+        for kind, chosen, oracle, source in seen:
+            assert chosen == oracle, (kind, source)
+
+    def test_unrelated_bindings_leave_source_unchanged(self, monkeypatch,
+                                                       rv64):
+        from repro.sim import inline
+        from repro.workloads import get_workload
+
+        image = get_workload("stream", self.SCALE).compile(
+            "rv64", "gcc12").image
+        with monkeypatch.context() as patch:
+            seen = self._spy(patch)
+            run_image(image, rv64)
+            reference = [source for *_, source in seen]
+        words = set(re.findall(r"\w+", "\n".join(reference)))
+        extra = [f"_unrelated{i}" for i in range(5000)]
+        assert not words & set(extra)
+
+        init = inline.InlineContext.__init__
+
+        def prebound_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            for name in extra:
+                self.bind(name, object())
+
+        monkeypatch.setattr(inline.InlineContext, "__init__", prebound_init)
+        seen = self._spy(monkeypatch)
+        run_image(image, rv64)
+        assert reference
+        assert [source for *_, source in seen] == reference

@@ -181,10 +181,12 @@ class TestExecutor:
         plans = plan_suite(0.02, workloads=("stream",), windowed=True,
                           window_sizes=(4,))
         cache = ResultCache(tmp_path)
-        first = Executor(cache=cache).run(plans)
+        # jobs=1: the serial path runs execute_plan in this process,
+        # where the patch is visible (pool workers would not see it)
+        first = Executor(jobs=1, cache=cache).run(plans)
         assert len(calls) == 4
 
-        second = Executor(cache=ResultCache(tmp_path)).run(plans)
+        second = Executor(jobs=1, cache=ResultCache(tmp_path)).run(plans)
         assert len(calls) == 4  # zero new simulations
         assert second == first
 
@@ -315,13 +317,16 @@ class TestCliSubcommands:
         cache_dir = tmp_path / "cache"
         common = ["--scale", "0.02", "--workloads", "stream",
                   "--windows", "4,16", "--cache-dir", str(cache_dir)]
-        rc, out, _err = self._run(["run", *common, "--quiet"], capsys)
+        # --jobs 1: the serial path runs execute_plan in this process,
+        # where the patch is visible (pool workers would not see it)
+        rc, out, _err = self._run(["run", *common, "--jobs", "1", "--quiet"],
+                                  capsys)
         assert rc == 0
         assert "Figure 1" in out and "Table 2" in out
         assert len(calls) == 4
 
         # second run: all cache hits, zero simulations
-        rc, out, err = self._run(["run", *common], capsys)
+        rc, out, err = self._run(["run", *common, "--jobs", "1"], capsys)
         assert rc == 0
         assert len(calls) == 4
         assert "4 cache hits" in err and "0 simulated" in err

@@ -1,5 +1,7 @@
 """Tests for memory, machine state, syscalls and the emulation core."""
 
+import os
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -64,6 +66,31 @@ class TestMemory:
         mem = Memory(64)
         mem.write_bytes(0, blob)
         assert mem.read_bytes(0, len(blob)) == blob
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/statm"),
+                        reason="needs Linux /proc/self/statm")
+    def test_untouched_memory_is_not_resident(self):
+        def rss_bytes():
+            with open("/proc/self/statm") as f:
+                return int(f.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+        before = rss_bytes()
+        memories = [Memory() for _ in range(8)]  # 8 x 16 MiB address space
+        for mem in memories:
+            mem.store(0x200000, 8, 1)
+        grown = rss_bytes() - before
+        assert grown < 16 << 20, f"RSS grew {grown >> 20} MiB"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_writes_stay_private(self):
+        mem = Memory(4096)
+        pid = os.fork()
+        if pid == 0:
+            mem.store(0, 8, 0xDEAD)
+            os._exit(0)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert mem.load(0, 8) == 0
 
 
 class TestMachine:

@@ -16,6 +16,14 @@ Before block summaries the fused engine cost ~7× raw translation; the
 summary layer's whole point is closing that gap, so it regressing past
 2.5× fails the build.
 
+It also guards block assembly against the number of bindings in scope:
+assembling one STREAM block with ``ASSEMBLE_EXTRA_NAMES`` unrelated
+names pre-bound into its translator may cost at most
+``ASSEMBLE_MAX_RATIO`` times assembling it with none. A translator's
+bindings grow over a run (hundreds of names on lbm), so a free-name
+lookup that walks every binding per block makes cold translation
+quadratic; one identifier scan of the block keeps the cost with the block.
+
 It also guards the windowed-CP flush memo with a count, not a timing:
 on STREAM under the seven paper window sizes, the windows computed one
 by one (per-window memo lookups) may be at most
@@ -95,6 +103,16 @@ SHARD_SCALE = 0.05
 #: cost at most this multiple of the raw translated run.
 ANALYZED_MAX_RATIO = 2.5
 
+#: Assembling a block with ``ASSEMBLE_EXTRA_NAMES`` unrelated names
+#: pre-bound may cost at most this multiple of assembling it with none
+#: (best interleaved round of ``ASSEMBLE_ROUNDS``, ``ASSEMBLE_CALLS``
+#: assemblies a side). One identifier scan reads ~1.0x; a regex search
+#: per binding in scope reads ~290x.
+ASSEMBLE_MAX_RATIO = 2.0
+ASSEMBLE_EXTRA_NAMES = 5000
+ASSEMBLE_ROUNDS = 5
+ASSEMBLE_CALLS = 20
+
 #: Windows computed one by one (per-window memo hits + misses) may be at
 #: most this share of the windows completed, on STREAM at ``SCALE`` with
 #: the paper window sizes. Replaying whole flushes per window state
@@ -152,6 +170,55 @@ def _best_ratio_pair(compiled, isa) -> tuple[float, float, float]:
         if best_r is None or analyzed / trans < best_r:
             best_r = analyzed / trans
     return best_t, best_a, best_r
+
+
+def _assemble_guard(compiled, isa) -> int:
+    """Block assembly must not scale with the bindings in scope."""
+    from repro.loader import load_program
+    from repro.sim import EmulationCore, Machine, Memory
+    from repro.sim.blocks import BlockTranslator
+
+    def translator(extra_names):
+        memory = Memory()
+        load_program(compiled.image, memory)
+        machine = Machine(isa.name, memory)
+        tr = BlockTranslator(EmulationCore(isa, machine, translate=True))
+        for i in range(extra_names):
+            tr.ctx.bind(f"_unrelated{i}", i)
+        calls = []
+        assemble = tr._assemble
+        tr._assemble = lambda *args, **kwargs: (
+            calls.append((args, kwargs)) or assemble(*args, **kwargs))
+        tr.entry_for(compiled.image.entry)
+        args, kwargs = calls[0]
+        return lambda: assemble(*args, **kwargs)
+
+    plain = translator(0)
+    loaded = translator(ASSEMBLE_EXTRA_NAMES)
+
+    def timed(assemble):
+        started = time.perf_counter()
+        for _ in range(ASSEMBLE_CALLS):
+            assemble()
+        return (time.perf_counter() - started) / ASSEMBLE_CALLS
+
+    best = None
+    for _ in range(ASSEMBLE_ROUNDS):
+        base = timed(plain)
+        ratio = timed(loaded) / base
+        if best is None or ratio < best:
+            best, best_base = ratio, base
+    print(f"assemble   : {best_base * 1e6:.0f} us a block, best round "
+          f"{best:.2f}x with {ASSEMBLE_EXTRA_NAMES} unrelated names bound")
+    if best > ASSEMBLE_MAX_RATIO:
+        print(f"FAIL: {ASSEMBLE_EXTRA_NAMES} unrelated bindings make block "
+              f"assembly {best:.1f}x slower (limit {ASSEMBLE_MAX_RATIO}x) — "
+              f"the free-name lookup walks every binding in scope",
+              file=sys.stderr)
+        return 1
+    print(f"OK: block assembly within {ASSEMBLE_MAX_RATIO}x with "
+          f"{ASSEMBLE_EXTRA_NAMES} unrelated names bound")
+    return 0
 
 
 def _window_memo_guard(workload) -> int:
@@ -602,7 +669,8 @@ def main() -> int:
         return 1
     print(f"OK: fused analysis within {ANALYZED_MAX_RATIO}x of raw "
           f"translation")
-    return (_window_memo_guard(workload) or _fault_smoke()
+    return (_assemble_guard(compiled, isa)
+            or _window_memo_guard(workload) or _fault_smoke()
             or _shard_smoke() or _warm_smoke())
 
 
