@@ -1,8 +1,7 @@
 """Timing script for the experiment engine: serial vs parallel vs cached.
 
 Runs the suite several ways — in-process serial, process-parallel
-(``--jobs``), intra-run sharded (``--shards``, auto by default), a
-second cached pass, a trace-replay pass (changed window sizes against
+(``--jobs``), a second cached pass, a trace-replay pass (changed window sizes against
 the same cache, so analyses replay recorded retirement streams instead
 of re-simulating), and a warm-reuse pass (the same plans twice through
 one warm-enabled Executor with *no* result cache, so the second pass's
@@ -14,10 +13,10 @@ compare against::
     PYTHONPATH=src python benchmarks/bench_suite.py --scale 0.05 --jobs 4
 
 The script is honest about the host it ran on: ``cpus`` records the
-effective core count, and on a single-core box the parallel and sharded
-comparisons are *skipped* rather than timed — multiprocess passes on
-one core measure only fork/IPC overhead, and publishing a "speedup"
-below 1.0 would poison the trajectory. Skipped passes record ``null``
+effective core count, and on a single-core box the parallel comparison
+is *skipped* rather than timed — multiprocess passes on one core
+measure only fork/IPC overhead, and publishing a "speedup" below 1.0
+would poison the trajectory. Skipped passes record ``null``
 plus a machine-readable reason.
 
 Not a pytest file: run it directly. The cache passes use a throwaway
@@ -40,7 +39,6 @@ sys.path.insert(
 
 from repro import __version__  # noqa: E402
 from repro.harness import Executor, ResultCache, plan_suite  # noqa: E402
-from repro.harness.sharding import resolve_shards  # noqa: E402
 
 
 def _timed_run(plans, *, jobs: int, cache=None) -> float:
@@ -58,9 +56,6 @@ def main(argv=None) -> int:
                              "fastest)")
     parser.add_argument("--jobs", type=int, default=max(2, os.cpu_count() or 2),
                         help="worker processes for the parallel pass")
-    parser.add_argument("--shards", type=int, default=0,
-                        help="slices per config for the sharded pass "
-                             "(0 = auto: one per core)")
     parser.add_argument("--windows", type=str, default="4,16,64",
                         help="window sizes for the §6 probes")
     parser.add_argument("--out", type=pathlib.Path,
@@ -87,17 +82,6 @@ def main(argv=None) -> int:
         print(f"  parallel (j={args.jobs}) : {parallel_s:8.2f}s", flush=True)
     else:
         print("  parallel         :  skipped (single-core host)", flush=True)
-
-    shards = resolve_shards(args.shards, cores=cores)
-    sharded_s = None
-    if multicore and shards > 1:
-        shard_plans = plan_suite(args.scale, workloads=workloads,
-                                 windowed=True, window_sizes=windows,
-                                 shards=shards)
-        sharded_s = _timed_run(shard_plans, jobs=1)
-        print(f"  sharded (s={shards}) : {sharded_s:8.2f}s", flush=True)
-    else:
-        print("  sharded          :  skipped (single-core host)", flush=True)
 
     # warm-reuse pass: two passes through ONE warm-enabled Executor and
     # no result cache — every plan re-executes, so the second pass
@@ -146,12 +130,9 @@ def main(argv=None) -> int:
         "windows": list(windows),
         "configs": len(plans),
         "jobs": args.jobs,
-        "shards": shards,
         "serial_seconds": round(serial_s, 3),
         "parallel_seconds": round(parallel_s, 3)
         if parallel_s is not None else None,
-        "sharded_seconds": round(sharded_s, 3)
-        if sharded_s is not None else None,
         "warm_pool_cold_seconds": round(warm_cold_s, 3),
         "warm_pool_seconds": round(warm_pool_s, 3),
         "translation_reuse_hits": reuse_hits,
@@ -162,8 +143,6 @@ def main(argv=None) -> int:
         "trace_replay_seconds": round(replay_s, 3),
         "parallel_speedup": round(serial_s / parallel_s, 3)
         if parallel_s else None,
-        "shard_speedup": round(serial_s / sharded_s, 3)
-        if sharded_s else None,
         "skipped_reason": skip_reason,
         "cache_hit_speedup": round(cold_s / warm_s, 3) if warm_s else None,
         "trace_replay_speedup": round(serial_s / replay_s, 3)

@@ -29,7 +29,6 @@ from repro.analysis.blocksummary import BlockSummary, build_summary
 from repro.analysis.config import AnalysisConfig
 from repro.analysis.engine import (
     AnalysisResult,
-    AnalysisState,
     FusedAnalysisEngine,
     FusedResults,
 )
@@ -47,7 +46,6 @@ from repro.analysis.report import ilp, runtime_ms, normalize
 __all__ = [
     "AnalysisConfig",
     "AnalysisResult",
-    "AnalysisState",
     "BlockSummary",
     "build_summary",
     "FusedAnalysisEngine",

@@ -71,16 +71,7 @@ class AnalysisConfig:
                 "trace recording requires the fused (batched) engine"
             )
 
-    @property
-    def shardable(self) -> bool:
-        """Whether this config can run under the deterministic sharded
-        executor (:mod:`repro.harness.sharding`). Only the fused engine
-        shards: its :class:`AnalysisState` merge is associative, while
-        the legacy per-retire probes carry unmergeable running state."""
-        return self.engine == "fused"
-
-    def build_engine(self, regions=(), model=None, *,
-                     relative: bool = False):
+    def build_engine(self, regions=(), model=None):
         """A :class:`FusedAnalysisEngine` configured per this value."""
         from repro.analysis.engine import FusedAnalysisEngine
 
@@ -88,7 +79,7 @@ class AnalysisConfig:
             regions=regions, model=model,
             windowed=self.windowed, window_sizes=self.window_sizes,
             slide_fraction=self.slide_fraction, keep_cps=self.keep_cps,
-            break_on_zero=self.break_on_zero, relative=relative,
+            break_on_zero=self.break_on_zero,
         )
 
     def to_dict(self) -> dict:

@@ -35,6 +35,10 @@ instruction mix, and all windowed-CP sizes — in one pass:
 Results are exactly equal — field by field, including dict insertion
 order — to the legacy probes'; ``tests/test_fused_engine.py`` enforces
 this differentially on random programs and on every workload.
+
+The engine is one serial pass over the whole retirement stream, like the
+paper's emulation core: chain depths are plain integers carried from the
+first retirement to the last.
 """
 
 from __future__ import annotations
@@ -81,38 +85,6 @@ _FLUSH_MEMO_MAX_ENTRIES = 64
 
 #: Bump when the serialized shape of :class:`AnalysisResult` changes.
 ANALYSIS_SCHEMA = 1
-
-#: Bump when the serialized shape of an engine *state* document
-#: (:meth:`FusedAnalysisEngine.state_doc`) changes.
-STATE_SCHEMA = 1
-
-
-class _InstMeta:
-    """Static-table stand-in carrying a :class:`DecodedInst`'s metadata.
-
-    Engine state crosses process boundaries as documents
-    (:meth:`FusedAnalysisEngine.state_doc`), but the real static table
-    holds decoded instructions whose ``execute`` closures cannot be
-    pickled. ``_InstMeta`` duck-types the analysis-side surface — every
-    attribute :meth:`results` and the merge path read — and nothing
-    execution-side, which a merged engine never needs.
-    """
-
-    __slots__ = ("pc", "word", "mnemonic", "text", "group", "srcs",
-                 "dsts", "is_load", "is_store", "is_branch")
-
-    def __init__(self, pc, word, mnemonic, text, group, srcs, dsts,
-                 is_load, is_store, is_branch):
-        self.pc = pc
-        self.word = word
-        self.mnemonic = mnemonic
-        self.text = text
-        self.group = InstructionGroup(group)
-        self.srcs = tuple(srcs)
-        self.dsts = tuple(dsts)
-        self.is_load = is_load
-        self.is_store = is_store
-        self.is_branch = is_branch
 
 
 @dataclass
@@ -179,17 +151,6 @@ class _WState:
         self.result = WindowedCPResult(window_size=size, min_cp=0)
         self.keep_cps = keep_cps
 
-    def copy(self) -> "_WState":
-        new = _WState.__new__(_WState)
-        new.size = self.size
-        new.slide = self.slide
-        new.next_start = self.next_start
-        new.keep_cps = self.keep_cps
-        r = self.result
-        new.result = WindowedCPResult(
-            window_size=r.window_size, count=r.count, total_cp=r.total_cp,
-            max_cp=r.max_cp, min_cp=r.min_cp, cps=list(r.cps))
-        return new
 
 
 def _events_to_soa(summaries, events, indices, read_ends, write_ends):
@@ -244,75 +205,6 @@ def _events_to_soa(summaries, events, indices, read_ends, write_ends):
     return ti, re_, we_
 
 
-# ------------------------------------------------ max-plus chain values
-#
-# A *relative* engine does not know the chain depths at its start, so it
-# tracks each dependence head as a max-plus function of the unseen
-# predecessor environment: ``(const, {dep: offset})`` means
-# ``max(const, max_dep(env[dep] + offset))``. These functions are closed
-# under the two CP operations (max of sources, plus the instruction
-# weight), and composing them is associative — which is exactly what
-# makes ``AnalysisState.merge`` associative. Values are immutable by
-# convention: every operation builds fresh dicts, so clones may share.
-
-def _rel_depth(vals, wt):
-    """max over max-plus values, then + ``wt``."""
-    const = 0
-    terms: dict = {}
-    for c, t in vals:
-        if c > const:
-            const = c
-        for s, o in t.items():
-            cur = terms.get(s)
-            if cur is None or o > cur:
-                terms[s] = o
-    return (const + wt, {s: o + wt for s, o in terms.items()})
-
-
-def _rel_max2(a, b):
-    """max of two max-plus values."""
-    const = a[0] if a[0] >= b[0] else b[0]
-    terms = dict(a[1])
-    for s, o in b[1].items():
-        cur = terms.get(s)
-        if cur is None or o > cur:
-            terms[s] = o
-    return (const, terms)
-
-
-def _eval_abs(value, regs, mem):
-    """Evaluate a max-plus value in an absolute environment."""
-    best = value[0]
-    get = mem.get
-    for s, o in value[1].items():
-        e = regs[s] if s < NUM_DEP_REGS else get(s, 0)
-        if e + o > best:
-            best = e + o
-    return best
-
-
-def _rel_compose(value, regs, mem):
-    """Compose a max-plus value over another relative environment."""
-    const = value[0]
-    terms: dict = {}
-    get = mem.get
-    for s, o in value[1].items():
-        base = regs[s] if s < NUM_DEP_REGS else get(s)
-        if base is None:
-            cur = terms.get(s)
-            if cur is None or o > cur:
-                terms[s] = o
-        else:
-            bc, bt = base
-            if bc + o > const:
-                const = bc + o
-            for s2, o2 in bt.items():
-                cur = terms.get(s2)
-                if cur is None or o2 + o > cur:
-                    terms[s2] = o2 + o
-    return (const, terms)
-
-
 class FusedAnalysisEngine:
     """Batch sink computing all paper analyses in a single fused pass.
 
@@ -327,13 +219,6 @@ class FusedAnalysisEngine:
             :class:`repro.analysis.critpath.CriticalPathProbe` (applies
             to both CP variants; the windowed analysis, like the legacy
             probe, always breaks).
-        relative: start from an *unknown* chain environment instead of
-            the empty one. A relative engine tracks critical-path depths
-            symbolically (max-plus functions of the unseen predecessor
-            state) and buffers window items without consuming them, so
-            its :class:`AnalysisState` can be merged onto any prefix
-            state (``AnalysisState.merge``) — the associative shard
-            merge. ``results()`` requires an absolute engine.
     """
 
     needs_memory = True
@@ -351,14 +236,12 @@ class FusedAnalysisEngine:
         slide_fraction: float = 0.5,
         keep_cps: bool = False,
         break_on_zero: bool = True,
-        relative: bool = False,
     ):
         if not 0 < slide_fraction <= 1:
             raise ValueError("slide_fraction must be in (0, 1]")
         self.regions = list(regions)
         self.model = model
         self.break_on_zero = break_on_zero
-        self._relative = relative
 
         # static-side metadata, grown in lockstep with the core's table
         self._table: list = []
@@ -384,22 +267,13 @@ class FusedAnalysisEngine:
         self._summaries: list | None = None
         self.event_batches = 0
 
-        # fused plain + scaled critical-path state. Absolute engines
-        # hold int depths; relative engines hold max-plus values
-        # ``(const, {dep: offset})`` over the unseen predecessor state
-        # (None in the register files / a missing cell = the identity).
-        if relative:
-            self._reg_p: list = [None] * NUM_DEP_REGS
-            self._reg_s: list = [None] * NUM_DEP_REGS
-            self._best_p = (0, {})
-            self._best_s = (0, {})
-        else:
-            self._reg_p = [0] * NUM_DEP_REGS
-            self._reg_s = [0] * NUM_DEP_REGS
-            self._best_p = 0
-            self._best_s = 0
-        self._mem_p: dict[int, object] = {}
-        self._mem_s: dict[int, object] = {}
+        # fused plain + scaled critical-path state
+        self._reg_p = [0] * NUM_DEP_REGS
+        self._reg_s = [0] * NUM_DEP_REGS
+        self._best_p = 0
+        self._best_s = 0
+        self._mem_p: dict[int, int] = {}
+        self._mem_s: dict[int, int] = {}
 
         # windowed state: rolling item/cell buffers with global offsets
         self._wstates = [
@@ -426,8 +300,7 @@ class FusedAnalysisEngine:
         self._memo_items = 0
         self.memo_hits = 0
         self.memo_misses = 0
-        #: One flush memo per window state, keyed by ``(size, slide)``
-        #: (not list position: clones share the memos by reference).
+        #: One flush memo per window state, keyed by ``(size, slide)``.
         self._flush_memos: dict = {
             (st.size, st.slide): {} for st in self._wstates}
         self.batch_memo_hits = 0
@@ -457,11 +330,7 @@ class FusedAnalysisEngine:
             self._counts = grown
         self._counts[:n] += counts
         self._total += count
-        if self._relative:
-            self._cp_batch_relative(indices, read_ends, write_ends,
-                                    reads, writes)
-        else:
-            self._cp_batch(indices, read_ends, write_ends, reads, writes)
+        self._cp_batch(indices, read_ends, write_ends, reads, writes)
         if self._wstates:
             # the batch is a flush holding one structure-of-arrays segment
             if (any((a & 7) + z > 8 for a, z in reads)
@@ -497,13 +366,6 @@ class FusedAnalysisEngine:
         if count == 0:
             return
         self.event_batches += 1
-        if self._relative:
-            # symbolic chain values need per-item treatment anyway, so
-            # expand to the (exact) structure-of-arrays form
-            ti, re_, we_ = _events_to_soa(summaries, events, indices,
-                                          read_ends, write_ends)
-            self.on_batch(table, count, ti, re_, we_, reads, writes)
-            return
         self._ensure_meta(table)
         self._summaries = summaries
         # mix / path length: block items via execution counters (folded
@@ -666,88 +528,6 @@ class FusedAnalysisEngine:
         self._best_p = best_p
         self._best_s = best_s
 
-    def _cp_batch_relative(self, indices, read_ends, write_ends, reads,
-                           writes, r0=0, w0=0) -> None:
-        """Symbolic twin of :meth:`_cp_batch`: depths are max-plus values
-        over the unseen predecessor environment (see ``_rel_depth``).
-        Values are never mutated in place — clones share them."""
-        meta = self._meta
-        reg_p = self._reg_p
-        reg_s = self._reg_s
-        mem_p = self._mem_p
-        mem_s = self._mem_s
-        getp = mem_p.get
-        gets = mem_s.get
-        bz = self.break_on_zero
-        # The best-depth accumulators max in a new value every retirement
-        # while their term sets grow with every fresh unseen cell — a
-        # fresh-dict _rel_max2 there is quadratic in the slice length.
-        # Copy once per batch and accumulate in place; the tuple stored
-        # back at the end is never mutated again (the next batch copies),
-        # so exported references stay immutable.
-        bp_c, bp_t = self._best_p
-        bp_t = dict(bp_t)
-        bs_c, bs_t = self._best_s
-        bs_t = dict(bs_t)
-        for idx, r1, w1 in zip(indices, read_ends, write_ends):
-            srcs, dd, wt = meta[idx]
-            vals_p = []
-            vals_s = []
-            for s in srcs:
-                v = reg_p[s]
-                vals_p.append(v if v is not None else (0, {s: 0}))
-                v = reg_s[s]
-                vals_s.append(v if v is not None else (0, {s: 0}))
-            while r0 < r1:
-                addr, size = reads[r0]
-                r0 += 1
-                if (addr & 7) + size > 8:
-                    cells = mem_cells(addr, size)
-                else:
-                    cells = (_MEM_BASE + (addr >> 3),)
-                for cell in cells:
-                    v = getp(cell)
-                    vals_p.append(v if v is not None else (0, {cell: 0}))
-                    v = gets(cell)
-                    vals_s.append(v if v is not None else (0, {cell: 0}))
-            if not bz:
-                for t in dd:
-                    v = reg_p[t]
-                    vals_p.append(v if v is not None else (0, {t: 0}))
-                    v = reg_s[t]
-                    vals_s.append(v if v is not None else (0, {t: 0}))
-            dp = _rel_depth(vals_p, 1)
-            ds = _rel_depth(vals_s, wt)
-            for t in dd:
-                reg_p[t] = dp
-                reg_s[t] = ds
-            while w0 < w1:
-                addr, size = writes[w0]
-                w0 += 1
-                if (addr & 7) + size > 8:
-                    cells = mem_cells(addr, size)
-                else:
-                    cells = (_MEM_BASE + (addr >> 3),)
-                for cell in cells:
-                    mem_p[cell] = dp
-                    mem_s[cell] = ds
-            c, t = dp
-            if c > bp_c:
-                bp_c = c
-            for s, o in t.items():
-                cur = bp_t.get(s)
-                if cur is None or o > cur:
-                    bp_t[s] = o
-            c, t = ds
-            if c > bs_c:
-                bs_c = c
-            for s, o in t.items():
-                cur = bs_t.get(s)
-                if cur is None or o > cur:
-                    bs_t[s] = o
-        self._best_p = (bp_c, bp_t)
-        self._best_s = (bs_c, bs_t)
-
     # -- windowed critical paths -----------------------------------------
 
     @staticmethod
@@ -818,42 +598,41 @@ class FusedAnalysisEngine:
         rtot = rc_base + len(rbuf)
         wtot = wc_base + len(wbuf)
         pending = []
-        if not self._relative:
-            keys = self._keys
-            rends = self._rends
-            wends = self._wends
-            flush = (tuple(events), tuple(indices), tuple(read_ends),
-                     tuple(write_ends), tuple(rdelta[1:]), tuple(wdelta[1:]))
-            rlink = rdelta[0] if rcells else None
-            wlink = wdelta[0] if wcells else None
-            end = item_base + count
-            for st in self._wstates:
-                if st.next_start + st.size > end:
-                    continue
-                ka = st.next_start - self._key_base
-                crlo = (rends[ka - 1] if ka else rc_base) - rc_base
-                cwlo = (wends[ka - 1] if ka else wc_base) - wc_base
-                carry_r = crlo < len(rbuf)
-                carry_w = cwlo < len(wbuf)
-                first_r = (rbuf[crlo] if carry_r
-                           else rcells[0] if rcells else None)
-                first_w = (wbuf[cwlo] if carry_w
-                           else wcells[0] if wcells else None)
-                sig = (flush, tuple(keys[ka:]),
-                       tuple(self._rdeltas[crlo + 1:]),
-                       tuple(self._wdeltas[cwlo + 1:]),
-                       rlink if carry_r else None,
-                       wlink if carry_w else None,
-                       None if first_r is None or first_w is None
-                       else first_w - first_r)
-                memo = self._flush_memos[st.size, st.slide]
-                record = memo.get(sig)
-                if record is None:
-                    self.batch_memo_misses += 1
-                    pending.append((st, memo, sig))
-                else:
-                    self.batch_memo_hits += 1
-                    self._apply_record(st, record)
+        keys = self._keys
+        rends = self._rends
+        wends = self._wends
+        flush = (tuple(events), tuple(indices), tuple(read_ends),
+                 tuple(write_ends), tuple(rdelta[1:]), tuple(wdelta[1:]))
+        rlink = rdelta[0] if rcells else None
+        wlink = wdelta[0] if wcells else None
+        end = item_base + count
+        for st in self._wstates:
+            if st.next_start + st.size > end:
+                continue
+            ka = st.next_start - self._key_base
+            crlo = (rends[ka - 1] if ka else rc_base) - rc_base
+            cwlo = (wends[ka - 1] if ka else wc_base) - wc_base
+            carry_r = crlo < len(rbuf)
+            carry_w = cwlo < len(wbuf)
+            first_r = (rbuf[crlo] if carry_r
+                       else rcells[0] if rcells else None)
+            first_w = (wbuf[cwlo] if carry_w
+                       else wcells[0] if wcells else None)
+            sig = (flush, tuple(keys[ka:]),
+                   tuple(self._rdeltas[crlo + 1:]),
+                   tuple(self._wdeltas[cwlo + 1:]),
+                   rlink if carry_r else None,
+                   wlink if carry_w else None,
+                   None if first_r is None or first_w is None
+                   else first_w - first_r)
+            memo = self._flush_memos[st.size, st.slide]
+            record = memo.get(sig)
+            if record is None:
+                self.batch_memo_misses += 1
+                pending.append((st, memo, sig))
+            else:
+                self.batch_memo_hits += 1
+                self._apply_record(st, record)
 
         skip = min(st.next_start for st in self._wstates) - item_base
         # with every state replayed past the pre-flush items, rebuild the
@@ -1035,19 +814,7 @@ class FusedAnalysisEngine:
         boundary, so post-expansion cell counts differ from the raw
         access counts and the flush content no longer determines the
         composite keys. Expand via numpy and consume windows directly,
-        bypassing the flush memo. Relative engines only buffer items:
-        their windows are consumed after the state is merged onto an
-        absolute prefix, when the items reaching back across the
-        boundary are known."""
-        self._extend_spanning(ti, count, read_ends, write_ends,
-                              reads, writes)
-        if not self._relative:
-            for st in self._wstates:
-                self._apply_record(st, self._state_record(st))
-            self._trim()
-
-    def _extend_spanning(self, ti, count, read_ends, write_ends,
-                         reads, writes) -> None:
+        bypassing the flush memo."""
         rend = np.fromiter(read_ends, np.int64, count)
         wend = np.fromiter(write_ends, np.int64, count)
         rc_a, rends_items = self._expand_cells(reads, read_ends[count - 1],
@@ -1075,6 +842,9 @@ class FusedAnalysisEngine:
             self._prev_wcell = wcells[-1]
             self._wcells.extend(wcells)
             self._wdeltas.extend(wdelta)
+        for st in self._wstates:
+            self._apply_record(st, self._state_record(st))
+        self._trim()
 
     def _window_cp_memo(self, start: int, size: int) -> int:
         ka = start - self._key_base
@@ -1170,10 +940,6 @@ class FusedAnalysisEngine:
     def results(self) -> AnalysisResult:
         """Finalize (emit partial tail windows) and assemble the result
         objects. Safe to call more than once."""
-        if self._relative:
-            raise RuntimeError(
-                "a relative engine has no absolute results; merge its "
-                "AnalysisState onto an absolute prefix state first")
         self._flatten_counts()
         windowed = None
         if self._wstates:
@@ -1241,374 +1007,3 @@ class FusedAnalysisEngine:
             ),
             windowed=windowed,
         )
-
-    # -- mergeable state -------------------------------------------------
-
-    def state(self) -> "AnalysisState":
-        """This engine's mergeable state handle."""
-        return AnalysisState(self)
-
-    def clone(self) -> "FusedAnalysisEngine":
-        """Independent copy of this engine's accumulated state. Pure
-        caches (the window-CP and flush memos, the bincount cache, the
-        summaries' stitch functions) are shared by reference — they are
-        deterministic functions of their keys, so sharing is safe."""
-        new = FusedAnalysisEngine.__new__(FusedAnalysisEngine)
-        new.__dict__.update(self.__dict__)
-        new.regions = list(self.regions)
-        new._counts = self._counts.copy()
-        new._block_exec = dict(self._block_exec)
-        new._reg_p = list(self._reg_p)
-        new._reg_s = list(self._reg_s)
-        new._mem_p = dict(self._mem_p)
-        new._mem_s = dict(self._mem_s)
-        new._srcs = list(self._srcs)
-        new._dsts = list(self._dsts)
-        new._meta = list(self._meta)
-        new._wstates = [st.copy() for st in self._wstates]
-        new._keys = list(self._keys)
-        new._rcells = list(self._rcells)
-        new._rdeltas = list(self._rdeltas)
-        new._wcells = list(self._wcells)
-        new._wdeltas = list(self._wdeltas)
-        new._rends = list(self._rends)
-        new._wends = list(self._wends)
-        return new
-
-    def absorb(self, other: "FusedAnalysisEngine") -> None:
-        """Merge a *relative* engine's state onto this one in place.
-
-        ``other`` must be a relative engine that consumed the stream
-        suffix immediately following this engine's prefix with the same
-        analysis parameters; it is left semantically intact. Engines
-        sharing one core's static table merge index-for-index; engines
-        with distinct tables (other cores, other processes — see
-        :meth:`state_doc`) are re-keyed by ``(pc, word)`` identity
-        first (:meth:`_rebase`). Counting
-        state adds, chain heads compose through the max-plus values
-        evaluated against this engine's pre-merge environment, and the
-        window buffers concatenate (the relative side never consumes a
-        window). Because max-plus composition is associative and the
-        counting parts are commutative monoids, the induced
-        :meth:`AnalysisState.merge` is associative.
-        """
-        if not other._relative:
-            raise ValueError("can only absorb a relative engine state")
-        if other.break_on_zero != self.break_on_zero:
-            raise ValueError("break_on_zero mismatch")
-        if other._gw_key != self._gw_key:
-            raise ValueError("latency model mismatch")
-        if ([(st.size, st.slide) for st in self._wstates]
-                != [(st.size, st.slide) for st in other._wstates]):
-            raise ValueError("window configuration mismatch")
-        for st in other._wstates:
-            if st.next_start or st.result.count:
-                raise ValueError("suffix window state already consumed")
-
-        self._flatten_counts()
-        other._flatten_counts()
-        oc = other._counts
-        if other._table is self._table:
-            # in-process fast path: both engines index one shared core
-            # table, so `other` is an extension-compatible view of it
-            remap = None
-            self._ensure_meta(other._table)
-            n = len(oc)
-            if len(self._counts) < n:
-                grown = np.zeros(n, dtype=np.int64)
-                grown[: len(self._counts)] = self._counts
-                self._counts = grown
-            if n:
-                self._counts[:n] += oc
-        else:
-            # cross-core/cross-process: the suffix engine built its own
-            # table in its own first-retirement order — re-key every
-            # index by (pc, word) identity
-            remap = self._rebase(other)
-            n = len(self._srcs)
-            if len(self._counts) < n:
-                grown = np.zeros(n, dtype=np.int64)
-                grown[: len(self._counts)] = self._counts
-                self._counts = grown
-            if len(oc):
-                np.add.at(self._counts,
-                          np.asarray(remap[:len(oc)], dtype=np.int64), oc)
-        self._total += other._total
-
-        # chains: evaluate every value of `other` against this engine's
-        # pre-merge environment first, then install the results
-        rel = self._relative
-        reg_p = self._reg_p
-        reg_s = self._reg_s
-        mem_p = self._mem_p
-        mem_s = self._mem_s
-        if rel:
-            def evp(v):
-                return _rel_compose(v, reg_p, mem_p)
-
-            def evs(v):
-                return _rel_compose(v, reg_s, mem_s)
-        else:
-            def evp(v):
-                return _eval_abs(v, reg_p, mem_p)
-
-            def evs(v):
-                return _eval_abs(v, reg_s, mem_s)
-        new_rp = {}
-        new_rs = {}
-        for s in range(NUM_DEP_REGS):
-            v = other._reg_p[s]
-            if v is not None:
-                new_rp[s] = evp(v)
-            v = other._reg_s[s]
-            if v is not None:
-                new_rs[s] = evs(v)
-        new_mp = {cell: evp(v) for cell, v in other._mem_p.items()}
-        new_ms = {cell: evs(v) for cell, v in other._mem_s.items()}
-        bp = evp(other._best_p)
-        bs = evs(other._best_s)
-        for s, v in new_rp.items():
-            reg_p[s] = v
-        for s, v in new_rs.items():
-            reg_s[s] = v
-        mem_p.update(new_mp)
-        mem_s.update(new_ms)
-        if rel:
-            self._best_p = _rel_max2(self._best_p, bp)
-            self._best_s = _rel_max2(self._best_s, bs)
-        else:
-            if bp > self._best_p:
-                self._best_p = bp
-            if bs > self._best_s:
-                self._best_s = bs
-
-        # windows: the suffix's buffered items continue this engine's
-        # item stream; shift its cell ends by our totals and re-link the
-        # first cell delta across the boundary
-        if self._wstates:
-            base_r = self._rc_base + len(self._rcells)
-            base_w = self._wc_base + len(self._wcells)
-            if remap is None:
-                self._keys.extend(other._keys)
-            else:
-                # item keys carry the static index in their high bits
-                mask = (1 << _IDX_SHIFT) - 1
-                self._keys.extend(
-                    (remap[k >> _IDX_SHIFT] << _IDX_SHIFT) | (k & mask)
-                    for k in other._keys)
-            self._rends.extend([base_r + e for e in other._rends])
-            self._wends.extend([base_w + e for e in other._wends])
-            if other._rcells:
-                self._rdeltas.append(other._rcells[0] - self._prev_rcell)
-                self._rdeltas.extend(other._rdeltas[1:])
-                self._rcells.extend(other._rcells)
-                self._prev_rcell = other._rcells[-1]
-            if other._wcells:
-                self._wdeltas.append(other._wcells[0] - self._prev_wcell)
-                self._wdeltas.extend(other._wdeltas[1:])
-                self._wcells.extend(other._wcells)
-                self._prev_wcell = other._wcells[-1]
-            if not rel:
-                for st in self._wstates:
-                    self._apply_record(st, self._state_record(st))
-                self._trim()
-
-    def _rebase(self, other: "FusedAnalysisEngine") -> list[int]:
-        """Map ``other``'s static indices onto this engine's table.
-
-        Two engines that consumed slices on different cores (or in
-        different processes) each hold a table in their *own*
-        first-retirement order; instructions are identified across them
-        by ``(pc, word)`` — exact, since code is not self-modifying.
-        Unseen instructions are appended to this engine's table in
-        ``other``'s order, which is precisely the order a serial run
-        would first retire them in, so the merged table (and therefore
-        every insertion-ordered result dict) matches serial
-        byte-for-byte. The table is copied before any append: clones
-        share tables by reference (possibly a live core's), and a merge
-        must never mutate one it doesn't own.
-        """
-        table = self._table
-        index: dict = {}
-        for j in range(len(table)):
-            inst = table[j]
-            index.setdefault((inst.pc, inst.word), j)
-        owned = False
-        remap: list[int] = []
-        osrcs = other._srcs
-        odsts = other._dsts
-        ometa = other._meta
-        otable = other._table
-        for j in range(len(osrcs)):
-            inst = otable[j]
-            key = (inst.pc, inst.word)
-            idx = index.get(key)
-            if idx is None:
-                if not owned:
-                    self._table = table = list(table)
-                    owned = True
-                idx = len(table)
-                index[key] = idx
-                table.append(inst)
-                self._srcs.append(osrcs[j])
-                self._dsts.append(odsts[j])
-                self._meta.append(ometa[j])
-            remap.append(idx)
-        return remap
-
-    # -- cross-process state transport -----------------------------------
-
-    def state_doc(self) -> dict:
-        """This engine's accumulated state as a process-portable document.
-
-        Everything :meth:`absorb` and :meth:`results` need, in plain
-        containers: the static table is flattened to metadata tuples
-        (decoded ``execute`` closures cannot cross a pipe; see
-        :class:`_InstMeta`), numpy counts become a list, and pure caches
-        are dropped — the receiving side rebuilds cold ones. Inverse of
-        :meth:`load_state_doc`.
-        """
-        self._flatten_counts()
-        n = len(self._srcs)
-        table = [
-            (inst.pc, inst.word, inst.mnemonic, inst.text,
-             int(inst.group), tuple(inst.srcs), tuple(inst.dsts),
-             inst.is_load, inst.is_store, inst.is_branch)
-            for inst in self._table[:n]
-        ]
-        return {
-            "v": STATE_SCHEMA,
-            "relative": self._relative,
-            "break_on_zero": self.break_on_zero,
-            "gw_key": self._gw_key,
-            "windows": [(st.size, st.slide) for st in self._wstates],
-            "table": table,
-            "counts": self._counts.tolist(),
-            "total": self._total,
-            "reg_p": list(self._reg_p),
-            "reg_s": list(self._reg_s),
-            "best_p": self._best_p,
-            "best_s": self._best_s,
-            "mem_p": dict(self._mem_p),
-            "mem_s": dict(self._mem_s),
-            "wstates": [
-                (st.next_start, st.result.count, st.result.total_cp,
-                 st.result.max_cp, st.result.min_cp, list(st.result.cps))
-                for st in self._wstates
-            ],
-            "keys": list(self._keys),
-            "key_base": self._key_base,
-            "rcells": list(self._rcells),
-            "rdeltas": list(self._rdeltas),
-            "wcells": list(self._wcells),
-            "wdeltas": list(self._wdeltas),
-            "rends": list(self._rends),
-            "wends": list(self._wends),
-            "rc_base": self._rc_base,
-            "wc_base": self._wc_base,
-            "prev_rcell": self._prev_rcell,
-            "prev_wcell": self._prev_wcell,
-        }
-
-    def load_state_doc(self, doc: dict) -> None:
-        """Adopt a :meth:`state_doc` document into this (fresh) engine.
-
-        The engine must have been constructed with the same analysis
-        parameters the document's producer used (the harness builds both
-        sides from one :class:`~repro.analysis.config.AnalysisConfig`)
-        and must not have consumed anything yet.
-        """
-        if doc.get("v") != STATE_SCHEMA:
-            raise ValueError(
-                f"engine state schema {doc.get('v')!r} != {STATE_SCHEMA}")
-        if bool(doc["relative"]) != self._relative:
-            raise ValueError("relative-mode mismatch")
-        if doc["break_on_zero"] != self.break_on_zero:
-            raise ValueError("break_on_zero mismatch")
-        if tuple(doc["gw_key"]) != self._gw_key:
-            raise ValueError("latency model mismatch")
-        if ([tuple(w) for w in doc["windows"]]
-                != [(st.size, st.slide) for st in self._wstates]):
-            raise ValueError("window configuration mismatch")
-        if self._total or self._keys or len(self._counts):
-            raise ValueError("can only load state into a fresh engine")
-        self._table = [_InstMeta(*t) for t in doc["table"]]
-        self._srcs = []
-        self._dsts = []
-        self._meta = []
-        self._ensure_meta(self._table)
-        self._counts = np.asarray(doc["counts"], dtype=np.int64)
-        self._total = doc["total"]
-        self._reg_p = list(doc["reg_p"])
-        self._reg_s = list(doc["reg_s"])
-        self._best_p = doc["best_p"]
-        self._best_s = doc["best_s"]
-        self._mem_p = dict(doc["mem_p"])
-        self._mem_s = dict(doc["mem_s"])
-        for st, (next_start, count, total_cp, max_cp, min_cp, cps) in zip(
-                self._wstates, doc["wstates"]):
-            st.next_start = next_start
-            st.result = WindowedCPResult(
-                window_size=st.size, count=count, total_cp=total_cp,
-                max_cp=max_cp, min_cp=min_cp, cps=list(cps))
-        self._keys = list(doc["keys"])
-        self._key_base = doc["key_base"]
-        self._rcells = list(doc["rcells"])
-        self._rdeltas = list(doc["rdeltas"])
-        self._wcells = list(doc["wcells"])
-        self._wdeltas = list(doc["wdeltas"])
-        self._rends = list(doc["rends"])
-        self._wends = list(doc["wends"])
-        self._rc_base = doc["rc_base"]
-        self._wc_base = doc["wc_base"]
-        self._prev_rcell = doc["prev_rcell"]
-        self._prev_wcell = doc["prev_wcell"]
-
-
-class AnalysisState:
-    """A mergeable handle on a :class:`FusedAnalysisEngine`'s state.
-
-    ``merge`` stitches a *relative* suffix state (an engine built with
-    ``relative=True`` that consumed some contiguous slice of the
-    retirement stream) onto this state, returning a new state equal to
-    having run one engine over the concatenated stream. The operation is
-    associative — ``(a.merge(b)).merge(c) == a.merge(b.merge(c))`` —
-    and splitting a run at any block boundary and merging the shard
-    states reproduces the serial result exactly; the property tests in
-    ``tests/test_block_summaries.py`` enforce both. Neither operand is
-    consumed: merging clones the left engine first.
-    """
-
-    def __init__(self, engine: FusedAnalysisEngine):
-        self._engine = engine
-
-    @property
-    def engine(self) -> FusedAnalysisEngine:
-        return self._engine
-
-    @property
-    def relative(self) -> bool:
-        return self._engine._relative
-
-    def merge(self, other: "AnalysisState") -> "AnalysisState":
-        merged = self._engine.clone()
-        merged.absorb(other._engine)
-        return AnalysisState(merged)
-
-    def results(self) -> AnalysisResult:
-        """Absolute results; raises for a relative (suffix) state."""
-        return self._engine.results()
-
-    def to_doc(self) -> dict:
-        """Process-portable form (:meth:`FusedAnalysisEngine.state_doc`)."""
-        return self._engine.state_doc()
-
-    @classmethod
-    def from_doc(cls, doc: dict,
-                 engine: FusedAnalysisEngine) -> "AnalysisState":
-        """Rehydrate a state document into ``engine`` (a freshly built
-        engine with the producing side's analysis parameters) and wrap
-        it. The shard workers ship their slice states through pipes this
-        way; the parent merges them exactly as in-process states."""
-        engine.load_state_doc(doc)
-        return cls(engine)

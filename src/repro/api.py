@@ -15,18 +15,12 @@ The pieces:
   analyze and how* (engine tier, windowed parameters, ablation knobs).
 * :func:`run_config` / :class:`ConfigResult` — compile + simulate +
   analyze one workload × ISA × profile binary.
-* :class:`AnalysisResult` / :class:`AnalysisState` — the
-  engine-independent analysis payload, and the mergeable mid-run state
-  (``AnalysisState.merge`` stitches independently-analyzed stream
-  segments: associative, exact).
+* :class:`AnalysisResult` — the engine-independent analysis payload of
+  one serial pass over a binary's whole retirement stream.
 * :func:`plan_suite` / :class:`ExperimentPlan` — the frozen, hashable
   description of the paper's experiment matrix.
 * :class:`Executor` / :class:`ResultCache` — parallel execution with
   timeout/retry/heartbeat and the content-addressed result cache.
-* :class:`MachineSnapshot` / :func:`resolve_shards` /
-  :class:`PlanShardStats` — the deterministic intra-run sharding layer
-  (snapshot + fast-forward + parallel analysis slices; pass
-  ``shards=`` to :func:`run_config`, :func:`run_suite` or the plans).
 * :func:`run_suite` + ``run_figure1``/``run_table1``/``run_table2``/
   ``run_figure2`` — the paper artifacts.
 """
@@ -36,11 +30,9 @@ from __future__ import annotations
 from repro.analysis import (
     AnalysisConfig,
     AnalysisResult,
-    AnalysisState,
     FusedAnalysisEngine,
 )
 from repro.harness.cache import ResultCache, default_cache_dir
-from repro.harness.events import PlanShardStats
 from repro.harness.executor import Executor
 from repro.harness.experiments import (
     ConfigResult,
@@ -54,31 +46,24 @@ from repro.harness.experiments import (
     run_table2,
 )
 from repro.harness.plan import ExperimentPlan, plan_suite
-from repro.harness.sharding import resolve_shards, run_sharded_config
-from repro.sim import MachineSnapshot
 from repro.workloads import get_workload
 
 __all__ = [
     "AnalysisConfig",
     "AnalysisResult",
-    "AnalysisState",
     "ConfigResult",
     "Executor",
     "ExperimentPlan",
     "FusedAnalysisEngine",
-    "MachineSnapshot",
-    "PlanShardStats",
     "ResultCache",
     "SuiteResult",
     "default_cache_dir",
     "get_workload",
     "plan_suite",
     "replay_config",
-    "resolve_shards",
     "run_config",
     "run_figure1",
     "run_figure2",
-    "run_sharded_config",
     "run_suite",
     "run_table1",
     "run_table2",

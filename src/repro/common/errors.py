@@ -67,20 +67,8 @@ class BudgetExhausted(SimulationError):
 
     A :class:`SimulationError` for compatibility with every existing
     caller, but distinguishable: the run loops land on the *exact*
-    budgeted instruction before raising (the PR 3 budget-boundary
-    machinery), so the sharded executor uses this as a precise
-    stop-at-instruction-N signal — a slice that consumed exactly its
-    budget is a completed slice, not a fault.
-    """
-
-
-class SnapshotError(ReproError):
-    """A machine snapshot is corrupt, truncated, or mismatched.
-
-    Raised when deserializing a :class:`repro.sim.snapshot.MachineSnapshot`
-    whose framing (magic/version/CRC/length) does not check out, or when
-    restoring one into a machine whose geometry (ISA, memory size) does
-    not match the snapshot's.
+    budgeted instruction before raising (the budget-boundary
+    machinery), so callers can tell a spent budget from a guest fault.
     """
 
 

@@ -461,11 +461,11 @@ class Dispatcher:
                 pending[:] = [it for it in pending if it[0] is not plan]
                 fallback[:] = [p for p in fallback if p is not plan]
                 seconds = float(doc.get("seconds", 0.0))
+                if self.cache is not None:
+                    self.cache.put(plan, result, seconds=seconds)
                 self.events.emit(PlanFinished(
                     plan=plan, index=indices[plan], total=total,
                     seconds=seconds, attempt=attempt))
-                if self.cache is not None:
-                    self.cache.put(plan, result, seconds=seconds)
                 lease_done(lease_id, "ok", node_name)
                 return
             # Remote failure: transient errors get more remote attempts

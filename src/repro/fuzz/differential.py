@@ -13,13 +13,7 @@ One generated program is judged by a stack of oracles, cheapest first:
    events must produce *exactly* the results of the five legacy
    per-retire probes on the same binary — path length, plain and scaled
    critical paths, instruction mix and windowed CPs.
-4. **Sharding**: the same analysis computed sharded — snapshot cuts at
-   2–4 seeded checkpoints, slices merged (:mod:`repro.harness.sharding`)
-   — must *exactly* equal the serial fused result, document for
-   document. Randomized programs probe slice boundaries (mid-loop,
-   mid-dependency-chain, straddling memory reuse) that the curated
-   workloads never hit.
-4b. **Warm reuse**: the same program analyzed as the first plan on a
+4. **Warm reuse**: the same program analyzed as the first plan on a
    fresh :class:`~repro.harness.warmcache.WarmCache` and again as plan
    #N after intervening cached reuses must produce identical analysis
    documents. The reuse loop passes through the cache's fingerprint
@@ -27,14 +21,14 @@ One generated program is judged by a stack of oracles, cheapest first:
    garbled cached image raises ``WarmStateError``, the entry is evicted
    and rebuilt (the executor's recycle-and-retry in miniature), and the
    documents must *still* agree.
-4c. **Distributed scatter** (opt-in, ``--dist-oracle``): a small suite
+4b. **Distributed scatter** (opt-in, ``--dist-oracle``): a small suite
    scattered by a :class:`~repro.dist.dispatcher.Dispatcher` across two
    in-process worker nodes over real localhost TCP — with an injected
    ``dist`` socket cut mid-run, so one node is lost and its leases are
    redispatched — must render artifacts *byte-identical* to the same
    suite run directly through ``run_suite``. This is the lease/dedup
    machinery's end-to-end determinism proof under fire.
-4d. **Serve round-trip** (opt-in, ``--serve-oracle``): a small suite
+4c. **Serve round-trip** (opt-in, ``--serve-oracle``): a small suite
    submitted to an in-process :class:`~repro.serve.app.ServeApp` over
    real HTTP must yield artifacts *byte-identical* to the same suite
    run directly through :func:`~repro.harness.experiments.run_suite`
@@ -84,7 +78,6 @@ __all__ = [
     "Observation",
     "observe",
     "diff_analysis",
-    "diff_sharded",
     "diff_warm",
     "diff_serve",
     "diff_dist",
@@ -133,7 +126,7 @@ class Finding:
     """One divergence/fault/compile failure discovered by the fuzzer."""
 
     kind: str          # compile-error | guest-fault | within-isa |
-    #                  # analysis | sharding | warm-reuse | cross-isa |
+    #                  # analysis | warm-reuse | cross-isa |
     #                  # invariant
     detail: str
     isa: str = ""      # "" for cross-ISA findings
@@ -250,47 +243,6 @@ def diff_analysis(compiled, *, max_instructions: int = DEFAULT_MAX_INSTRUCTIONS
                      f"probes {oracle.get(key)!r}")
             return delta if len(delta) <= 500 else delta[:497] + "..."
     return "analysis results differ"
-
-
-def diff_sharded(compiled, *, seed: int = 0,
-                 max_instructions: int = DEFAULT_MAX_INSTRUCTIONS) -> str:
-    """Sharding oracle: cut the run at seeded checkpoints, analyze the
-    slices independently, merge — and describe the first metric on which
-    the merged result disagrees with the serial fused engine ("" = exact
-    agreement). Slice count (2–4) and checkpoint spacing are drawn from
-    ``seed``, so every case cuts the program somewhere new.
-    """
-    import random
-
-    from repro.analysis import AnalysisConfig
-    from repro.harness.plan import SCALED_MODELS
-    from repro.harness.sharding import run_sharded_config
-    from repro.sim.config import load_core_model
-    from repro.sim.emucore import run_image
-
-    isa = get_isa(compiled.isa_name)
-    model = load_core_model(SCALED_MODELS[compiled.isa_name])
-    cfg = AnalysisConfig(windowed=True, window_sizes=_ORACLE_WINDOWS)
-    engine = cfg.build_engine(regions=compiled.image.regions, model=model)
-    run_image(compiled.image, isa, batch_sinks=[engine],
-              max_instructions=max_instructions)
-    serial = engine.results().to_dict()
-
-    rng = random.Random(seed)
-    result, _stats = run_sharded_config(
-        None, compiled.isa_name, "gcc12", compiled, cfg, model,
-        max_instructions, rng.randint(2, 4), parallel=False,
-        checkpoint_interval=rng.choice((256, 512, 1024, 2048)))
-    sharded = result.analysis.to_dict()
-
-    if sharded == serial:
-        return ""
-    for key in ("path", "cp", "scaled_cp", "mix", "windowed"):
-        if sharded.get(key) != serial.get(key):
-            delta = (f"{key}: sharded {sharded.get(key)!r} != "
-                     f"serial {serial.get(key)!r}")
-            return delta if len(delta) <= 500 else delta[:497] + "..."
-    return "sharded analysis differs"
 
 
 def diff_warm(compiled, *, reuses: int = 3,
@@ -612,21 +564,6 @@ def diff_source(source: str, *, seed: int | None = None, profile: str = "",
                         detail=f"{isa_name}: fused block-summary "
                                f"analysis diverges from the probe "
                                f"oracle ({delta})",
-                        isa=isa_name, source=source, seed=seed,
-                        profile=profile))
-            try:
-                delta = diff_sharded(compiled, seed=seed or 0,
-                                     max_instructions=max_instructions)
-            except postmortem.GUEST_FAULTS as err:
-                findings.append(_fault_finding(
-                    "sharding", err, isa=isa_name, source=source,
-                    seed=seed, profile=profile))
-            else:
-                if delta:
-                    findings.append(Finding(
-                        kind="sharding",
-                        detail=f"{isa_name}: sharded analysis diverges "
-                               f"from the serial fused engine ({delta})",
                         isa=isa_name, source=source, seed=seed,
                         profile=profile))
             try:

@@ -199,13 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "of the basic-block translation fast path "
                             "(identical results, slower; the differential "
                             "oracle)")
-    run_p.add_argument("--shards", type=str, default=None, metavar="N|auto",
-                       help="deterministic intra-run sharding: fast-forward "
-                            "+ snapshot each config once, then analyze its "
-                            "retirement stream in N parallel slices "
-                            "('auto' picks a slice count from the CPU "
-                            "count). Results are byte-identical to serial "
-                            "runs and share their cache entries")
     run_p.add_argument("--future-cores", action="store_true",
                        help="also run the §8 finite-core timing models")
 
@@ -414,24 +407,6 @@ def _parse_selection(args) -> dict:
     return {"workloads": workloads, "window_sizes": windows}
 
 
-def _parse_shards(value: str | None) -> int:
-    """``--shards N|auto`` → the plan's ``shards`` field (auto = 0)."""
-    if value is None:
-        return 1
-    if value.strip().lower() == "auto":
-        return 0
-    try:
-        shards = int(value)
-    except ValueError:
-        raise ExperimentError(
-            f"--shards must be an integer or 'auto', got {value!r}"
-        ) from None
-    if shards < 1:
-        raise ExperimentError(f"--shards must be >= 1 (or 'auto'), "
-                              f"got {shards}")
-    return shards
-
-
 def _render_and_write(suite: SuiteResult, args, *,
                       windowed: bool, future=None) -> None:
     figure1 = run_figure1(suite=suite)
@@ -510,7 +485,6 @@ def _cmd_run(args) -> int:
             windowed=windowed,
             window_sizes=selection["window_sizes"] or PAPER_WINDOW_SIZES,
             translate=not args.no_translate,
-            shards=_parse_shards(args.shards),
         )
         if cache is not None:
             crashed = unfinished_runs(cache.root)
@@ -551,7 +525,6 @@ def _cmd_run(args) -> int:
             retries=args.retries,
             events=bus,
             translate=bool(params.get("translate", True)),
-            shards=int(params.get("shards", 1)),
             warm_pool=args.warm_pool,
             max_tasks_per_worker=args.max_tasks_per_worker,
         )
@@ -593,13 +566,6 @@ def _cmd_run(args) -> int:
             if summary["workers_recycled"]:
                 line += (f", {summary['workers_recycled']} worker(s) "
                          f"recycled")
-            print(line, file=sys.stderr)
-        if summary["sharded_plans"]:
-            line = (f"sharding: {summary['sharded_plans']} config(s) ran "
-                    f"sliced")
-            if summary["shard_fallbacks"]:
-                line += (f", {summary['shard_fallbacks']} slice(s) fell "
-                         f"back to serial")
             print(line, file=sys.stderr)
         translation = summary["translation"]
         if translation:

@@ -32,7 +32,6 @@ __all__ = [
     "PlanCacheHit",
     "PlanTraceHit",
     "PlanTranslationStats",
-    "PlanShardStats",
     "PlanFailed",
     "CacheCorruption",
     "ExecutorDegraded",
@@ -108,22 +107,6 @@ class PlanTranslationStats(Event):
     (:meth:`EmulationCore.translation_stats`). Emitted just before the
     plan's :class:`PlanFinished`; never emitted for cache hits, trace
     replays, or interpreter (``translate=False``) runs."""
-
-    plan: ExperimentPlan = None
-    index: int = 0
-    total: int = 0
-    stats: dict = None
-
-
-@dataclass(frozen=True)
-class PlanShardStats(Event):
-    """Sharded-execution statistics of a fresh simulation
-    (:meth:`repro.harness.sharding.ShardRunStats.to_dict`): slice count,
-    checkpoints captured, fast-forward seconds, whether slices ran in
-    parallel worker processes, and how many fell back to in-process
-    serial execution. Emitted just before the plan's
-    :class:`PlanFinished`; never emitted for cache hits, trace replays,
-    or unsharded runs."""
 
     plan: ExperimentPlan = None
     index: int = 0
@@ -322,15 +305,6 @@ class ConsoleReporter:
         elif isinstance(event, PlanTraceHit):
             text = (f"[{event.index}/{event.total}] replayed "
                     f"{event.plan.describe()} from trace ({event.key[:12]})")
-        elif isinstance(event, PlanShardStats):
-            s = event.stats or {}
-            mode = "parallel" if s.get("parallel") else "in-process"
-            text = (f"[{event.index}/{event.total}] sharded  "
-                    f"{event.plan.describe()}: {s.get('shards', 0)} slices "
-                    f"({mode}), {s.get('checkpoints', 0)} checkpoints, "
-                    f"fast-forward {s.get('ff_seconds', 0.0):.2f}s")
-            if s.get("fallbacks"):
-                text += f", {s['fallbacks']} slice(s) fell back to serial"
         elif isinstance(event, PlanFailed):
             action = "retrying" if event.will_retry else "giving up"
             text = (f"FAILED {event.plan.describe()} "
@@ -400,8 +374,6 @@ class TimingCollector:
         #: simulations (``max_block`` is a maximum, not a sum).
         self.translation: dict[str, int] = {}
         self.translated_plans = 0
-        self.sharded_plans = 0
-        self.shard_fallbacks = 0
         self.workers_recycled = 0
         self.subscriber_errors = 0
         self.nodes_joined = 0
@@ -431,9 +403,6 @@ class TimingCollector:
                 else:
                     self.translation[key] = (
                         self.translation.get(key, 0) + value)
-        elif isinstance(event, PlanShardStats):
-            self.sharded_plans += 1
-            self.shard_fallbacks += (event.stats or {}).get("fallbacks", 0)
         elif isinstance(event, PlanFailed):
             if event.will_retry:
                 self.retries += 1
@@ -475,8 +444,6 @@ class TimingCollector:
             "suite_seconds": self.suite_seconds,
             "translated_plans": self.translated_plans,
             "translation": dict(self.translation),
-            "sharded_plans": self.sharded_plans,
-            "shard_fallbacks": self.shard_fallbacks,
             "workers_recycled": self.workers_recycled,
             "subscriber_errors": self.subscriber_errors,
             "nodes_joined": self.nodes_joined,

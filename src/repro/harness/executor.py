@@ -66,7 +66,6 @@ from repro.harness.events import (
     PlanCacheHit,
     PlanFailed,
     PlanFinished,
-    PlanShardStats,
     PlanStarted,
     PlanTraceHit,
     PlanTranslationStats,
@@ -76,7 +75,7 @@ from repro.harness.events import (
     WorkerRecycled,
 )
 from repro.harness.plan import ExperimentPlan, plan_suite
-from repro.harness.warmcache import WarmCache, WarmStateError, set_block_root
+from repro.harness.warmcache import WarmCache, WarmStateError
 
 if TYPE_CHECKING:
     from repro.harness.experiments import ConfigResult, SuiteResult
@@ -170,14 +169,7 @@ def execute_plan(plan: ExperimentPlan,
         blob = trace_store.get(key)
         if blob is not None:
             return replay_config(read_trace(blob), plan)
-        if plan.shards == 1:
-            # A sharded plan skips trace *recording*: the trace sink
-            # would force every slice onto the slow per-retirement path
-            # (and exclude worker processes), costing far more than the
-            # recorded trace could ever save. Replay above still works —
-            # a trace recorded by any serial run of the same simulation
-            # identity satisfies sharded plans too.
-            trace_writer = TraceWriter()
+        trace_writer = TraceWriter()
 
     compiled = None
     if warm_cache is not None:
@@ -194,7 +186,6 @@ def execute_plan(plan: ExperimentPlan,
         max_instructions=plan.max_instructions,
         trace_writer=trace_writer,
         translate=plan.translate,
-        shards=plan.shards,
         compiled=compiled,
     )
     if warm_cache is not None and compiled is not None:
@@ -323,7 +314,6 @@ def _pool_worker_main(task_conn, result_conn, trace_root: str | None = None,
     store = TraceStore(trace_root) if trace_root else None
     block_store = BlockStore(block_root) if block_root else None
     warm = WarmCache(block_store)
-    set_block_root(block_root)
     hb_started = False
     tasks_done = 0
     try:
@@ -592,45 +582,25 @@ class Executor:
         failures: dict[ExperimentPlan, str] = {}
         self._warm_totals = {}
         warm_serial: WarmCache | None = None
-        prev_block_root = None
         if todo and self.warm_pool:
-            from repro.harness.warmcache import get_block_root
-
             warm_serial = self._warm_cache()
             warm_serial.take_delta()  # discard activity from prior runs
-            # Park the block-store root where sharding's slice launcher
-            # can find it (slice children preload block sources too).
-            prev_block_root = get_block_root()
-            set_block_root(str(self.cache.blocks.root)
-                           if self.cache is not None else None)
         try:
             if todo:
                 supervised = (self.timeout is not None
                               or self.heartbeat is not None)
-                # Sharded plans fan out their own per-slice worker
-                # processes; the pool's daemonic workers cannot fork, so
-                # those plans take the serial path and parallelize
-                # *internally* instead of nesting inside the pool.
-                sharded = [plan for plan in todo if plan.shards != 1]
-                pooled = [plan for plan in todo if plan.shards == 1]
-                if pooled:
-                    if (jobs == 1 or len(pooled) == 1) and not supervised:
-                        results.update(self._run_serial(
-                            pooled, indices, total, failures, reports,
-                            warm=warm_serial))
-                    elif self.warm_pool:
-                        results.update(self._run_warm_pool(
-                            pooled, indices, total, failures, reports, jobs))
-                    else:
-                        results.update(self._run_pool(
-                            pooled, indices, total, failures, reports, jobs))
-                if sharded:
+                if (jobs == 1 or len(todo) == 1) and not supervised:
                     results.update(self._run_serial(
-                        sharded, indices, total, failures, reports,
+                        todo, indices, total, failures, reports,
                         warm=warm_serial))
+                elif self.warm_pool:
+                    results.update(self._run_warm_pool(
+                        todo, indices, total, failures, reports, jobs))
+                else:
+                    results.update(self._run_pool(
+                        todo, indices, total, failures, reports, jobs))
         finally:
             if warm_serial is not None:
-                set_block_root(prev_block_root)
                 self._merge_warm(warm_serial.take_delta())
         if self.warm_pool and todo:
             self.events.emit(WarmCacheStats(stats=dict(self._warm_totals)))
@@ -658,7 +628,6 @@ class Executor:
         models: dict[str, str] | None = None,
         max_instructions: int = 500_000_000,
         translate: bool = True,
-        shards: int = 1,
     ) -> "SuiteResult":
         """Plan and execute the paper matrix; assemble a SuiteResult."""
         from repro.analysis.windowed import PAPER_WINDOW_SIZES
@@ -675,7 +644,6 @@ class Executor:
             models=models,
             max_instructions=max_instructions,
             translate=translate,
-            shards=shards,
         )
         results = self.run(plans)
         names = tuple(workloads) if workloads else tuple(
@@ -798,19 +766,17 @@ class Executor:
                     self.events.emit(PlanTranslationStats(
                         plan=plan, index=indices[plan], total=total,
                         stats=result.translation))
-                if result.shard_stats is not None:
-                    self.events.emit(PlanShardStats(
-                        plan=plan, index=indices[plan], total=total,
-                        stats=result.shard_stats))
-                self.events.emit(PlanFinished(
-                    plan=plan, index=indices[plan], total=total,
-                    seconds=seconds, attempt=attempt))
                 results[plan] = result
+                # the journals record a plan as done on PlanFinished, so
+                # its cache entry must already be on disk by then
                 if self.cache is not None:
                     if injecting:
                         faults.set_context(plan=plan.describe(),
                                            attempt=attempt, in_worker=False)
                     self.cache.put(plan, result, seconds=seconds)
+                self.events.emit(PlanFinished(
+                    plan=plan, index=indices[plan], total=total,
+                    seconds=seconds, attempt=attempt))
                 break
         return results
 
@@ -912,14 +878,14 @@ class Executor:
                     self.events.emit(PlanTranslationStats(
                         plan=plan, index=indices[plan], total=total,
                         stats=result.translation))
-                self.events.emit(PlanFinished(
-                    plan=plan, index=indices[plan], total=total,
-                    seconds=seconds, attempt=attempt))
                 if self.cache is not None:
                     if injecting:
                         faults.set_context(plan=plan.describe(),
                                            attempt=attempt, in_worker=False)
                     self.cache.put(plan, result, seconds=seconds)
+                self.events.emit(PlanFinished(
+                    plan=plan, index=indices[plan], total=total,
+                    seconds=seconds, attempt=attempt))
                 return
             retry, history = self._record_failure(
                 reports, plan, attempt, message, transient,
@@ -1105,14 +1071,14 @@ class Executor:
                     self.events.emit(PlanTranslationStats(
                         plan=plan, index=indices[plan], total=total,
                         stats=result.translation))
-                self.events.emit(PlanFinished(
-                    plan=plan, index=indices[plan], total=total,
-                    seconds=seconds, attempt=attempt))
                 if self.cache is not None:
                     if injecting:
                         faults.set_context(plan=plan.describe(),
                                            attempt=attempt, in_worker=False)
                     self.cache.put(plan, result, seconds=seconds)
+                self.events.emit(PlanFinished(
+                    plan=plan, index=indices[plan], total=total,
+                    seconds=seconds, attempt=attempt))
                 return
             retry, history = self._record_failure(
                 reports, plan, attempt, message, transient,

@@ -81,12 +81,6 @@ class ConfigResult:
     #: part of the result identity, so deliberately excluded from
     #: ``to_dict``/``from_dict``: cache hits and trace replays carry None.
     translation: dict | None = field(default=None, compare=False)
-    #: Sharded-execution statistics
-    #: (:meth:`repro.harness.sharding.ShardRunStats.to_dict`) when the
-    #: producing run was sharded. Telemetry only, like ``translation`` —
-    #: sharding never changes the result, so it never enters the
-    #: serialized identity.
-    shard_stats: dict | None = field(default=None, compare=False)
 
     @property
     def path_length(self) -> int:
@@ -297,7 +291,6 @@ def run_config(
     engine: str = "fused",
     trace_writer=None,
     translate: bool = True,
-    shards: int = 1,
     compiled=None,
 ) -> ConfigResult:
     """Compile, run and analyze one configuration (single execution).
@@ -324,11 +317,6 @@ def run_config(
     alongside the analysis — the trace level of the two-level result
     cache. ``translate=False`` forces per-instruction interpretation
     (identical results; the translated path's differential oracle).
-    ``shards`` > 1 (or 0 for auto) runs the deterministic sharded path
-    (:mod:`repro.harness.sharding`): fast-forward + snapshot once, then
-    analyze the retirement stream in parallel slices whose merged result
-    is byte-identical to the serial one. Sharding requires the fused
-    engine and never changes the result — only the wall-clock.
     """
     cfg = _resolve_analysis(analysis, engine, windowed, window_sizes,
                             slide_fraction)
@@ -341,40 +329,6 @@ def run_config(
     model = (models or SCALED_MODELS)[isa]
     if isinstance(model, str):
         model = load_core_model(model)
-
-    if shards != 1:
-        from repro.harness.sharding import resolve_shards, run_sharded_config
-
-        if shards != 0 and not cfg.shardable:
-            raise ExperimentError(
-                "sharded execution requires the fused (batched) engine; "
-                f"got {cfg.engine!r}"
-            )
-        resolved = resolve_shards(shards)
-        if resolved == 1 or not cfg.shardable or trace_writer is not None:
-            # Degenerate to the plain serial path: auto-sharding on a
-            # single-CPU box, a non-shardable config under auto, or a
-            # trace-recording run. A recorded trace keys on simulation
-            # identity, so slicing it buys nothing (workers are already
-            # excluded) while forcing every slice onto the slow relative
-            # per-retirement path — strictly worse than serial.
-            shards = 1
-    if shards != 1:
-        result, stats = run_sharded_config(
-            workload, isa, profile, compiled, cfg, model,
-            max_instructions, resolved, translate, trace_writer,
-        )
-        result.shard_stats = stats.to_dict()
-        if cfg.check_invariants:
-            check = _run_probe_config(workload, isa, profile, compiled,
-                                      cfg, model, max_instructions,
-                                      translate)
-            if check.to_dict() != result.to_dict():
-                raise ExperimentError(
-                    "invariant check failed: sharded and probe analyses "
-                    f"disagree on {workload.name}/{isa}/{profile}"
-                )
-        return result
 
     if cfg.engine == "fused":
         result = _run_fused_config(workload, isa, profile, compiled, cfg,
@@ -430,7 +384,6 @@ def run_suite(
     retries: int = 1,
     events=None,
     translate: bool = True,
-    shards: int = 1,
     warm_pool: bool = True,
     max_tasks_per_worker: int = 0,
 ) -> SuiteResult:
@@ -467,7 +420,6 @@ def run_suite(
         windowed=windowed,
         window_sizes=tuple(window_sizes),
         translate=translate,
-        shards=shards,
     )
 
 

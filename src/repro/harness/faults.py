@@ -22,14 +22,6 @@ site                  checked by
                       trace envelope (``truncate``, ``garble``, ``empty``)
 ``cache-tmp-leftover``  :meth:`ResultCache.put`/:meth:`TraceStore.put` —
                       leaves a stray ``*.tmp`` file (``leftover``)
-``shard``               :func:`repro.harness.sharding._shard_child`, before
-                      the snapshot decodes (``crash``, ``hang``,
-                      ``transient``, ``error``) — and as a *data* site on
-                      the snapshot blob the parent ships (``truncate``,
-                      ``garble``, ``empty``: the worker sees a corrupt
-                      snapshot and dies with :class:`SnapshotError`).
-                      Exhausted retries fall the slice back to in-process
-                      serial execution; the plan never fails.
 ``warm``                :meth:`WarmCache.cached_program` on a warm-image
                       *hit* — as an action site (``transient``, ``error``,
                       ``hang``) and as a *data* site garbling the cached
@@ -152,7 +144,6 @@ DIST_KINDS = ("duplicate",)
 KNOWN_SITES: dict[str, tuple[str, ...]] = {
     "worker": ACTION_KINDS,
     "execute": ACTION_KINDS,
-    "shard": ACTION_KINDS + DATA_KINDS,
     "warm": ("transient", "error", "hang") + DATA_KINDS,
     "serve": ACTION_KINDS + DATA_KINDS,
     "dist": ACTION_KINDS + DATA_KINDS + DIST_KINDS,
@@ -242,9 +233,9 @@ class FaultPlan:
         Increments each matching spec's occurrence counter (filters
         first, so a spec scoped to one plan counts only that plan's
         occurrences). ``kinds`` restricts which specs are considered —
-        a site that is both an action point and a data point (``shard``:
-        the parent corrupts the blob, the child checks for crashes)
-        fires each spec only at the call that can apply it.
+        a site that is both an action point and a data point (``warm``:
+        :func:`check` performs its action kinds, :func:`corrupt` its
+        data kinds) fires each spec only at the call that can apply it.
         """
         for i, spec in enumerate(self.specs):
             if spec.site != site:

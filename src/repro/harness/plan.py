@@ -36,8 +36,10 @@ ISA_DISPLAY = {"aarch64": "AArch64", "rv64": "RISC-V"}
 PROFILE_DISPLAY = {"gcc9": "GCC 9.2", "gcc12": "GCC 12.2"}
 
 #: Bump when the serialized shape of :class:`ExperimentPlan` changes.
-#: v3 adds ``shards`` (execution strategy, like ``translate`` — part of
-#: the serialized plan but excluded from the result fingerprint).
+#: v3 added ``shards``, an execution strategy that has since been
+#: removed: v2/v3 documents load with it ignored, and the number stays
+#: 3 because :meth:`ExperimentPlan.fingerprint` hashes it (a bump would
+#: orphan every cache entry).
 PLAN_SCHEMA = 3
 
 
@@ -60,12 +62,6 @@ class ExperimentPlan:
     #: Results are identical either way (the interpreter is the
     #: differential oracle); False forces per-instruction interpretation.
     translate: bool = True
-    #: Deterministic intra-run sharding (:mod:`repro.harness.sharding`):
-    #: 1 (default) runs serially, N > 1 analyzes the retirement stream
-    #: in N parallel slices, 0 picks a slice count from the CPU count.
-    #: Results are byte-identical at any value, so — like ``translate``
-    #: — this is an execution strategy, excluded from the fingerprint.
-    shards: int = 1
 
     def __post_init__(self):
         if self.workload not in ALL_WORKLOADS:
@@ -82,9 +78,6 @@ class ExperimentPlan:
         if not self.model:
             object.__setattr__(self, "model", SCALED_MODELS[self.isa])
         object.__setattr__(self, "window_sizes", tuple(self.window_sizes))
-        if self.shards < 0:
-            raise ExperimentError(
-                f"shards must be >= 0 (0 = auto), got {self.shards}")
 
     # -- identity --------------------------------------------------------
 
@@ -123,7 +116,6 @@ class ExperimentPlan:
             "model": self.model,
             "max_instructions": self.max_instructions,
             "translate": self.translate,
-            "shards": self.shards,
         }
 
     @classmethod
@@ -143,7 +135,6 @@ class ExperimentPlan:
             model=doc["model"],
             max_instructions=int(doc["max_instructions"]),
             translate=bool(doc["translate"]),
-            shards=int(doc.get("shards", 1)),  # v2 docs predate sharding
         )
 
     def fingerprint(self) -> str:
@@ -154,12 +145,10 @@ class ExperimentPlan:
         from repro.sim.config import load_core_model
 
         doc = self.to_dict()
-        # translate and shards select execution strategies, not results:
-        # the translated/interpreted paths are differentially asserted
-        # identical and sharded merges are byte-identical to serial by
-        # construction, so every variant shares one cache entry
+        # translate selects an execution strategy, not results: the
+        # translated/interpreted paths are differentially asserted
+        # identical, so both share one cache entry
         doc.pop("translate", None)
-        doc.pop("shards", None)
         doc["model_fingerprint"] = load_core_model(self.model).fingerprint()
         doc["result_schema"] = _result_schema_versions()
         blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -218,7 +207,6 @@ def suite_params_doc(
     models: dict[str, str] | None = None,
     max_instructions: int = 500_000_000,
     translate: bool = True,
-    shards: int = 1,
 ) -> dict:
     """The :func:`plan_suite` parameters as a JSON-safe dict — what a
     run journal stores so ``--resume`` can reconstruct the exact plan
@@ -233,7 +221,6 @@ def suite_params_doc(
         "models": dict(models) if models else None,
         "max_instructions": max_instructions,
         "translate": translate,
-        "shards": shards,
     }
 
 
@@ -248,7 +235,6 @@ def suite_from_params(doc: dict) -> list[ExperimentPlan]:
         models=doc.get("models") or None,
         max_instructions=int(doc["max_instructions"]),
         translate=bool(doc.get("translate", True)),
-        shards=int(doc.get("shards", 1)),
     )
 
 
@@ -262,7 +248,6 @@ def plan_suite(
     models: dict[str, str] | None = None,
     max_instructions: int = 500_000_000,
     translate: bool = True,
-    shards: int = 1,
 ) -> list[ExperimentPlan]:
     """The paper's full matrix as a list of plans, in deterministic order
     (workload-major, then ISA, then profile). Windowed analysis is
@@ -284,6 +269,5 @@ def plan_suite(
                     model=(models or SCALED_MODELS)[isa],
                     max_instructions=max_instructions,
                     translate=translate,
-                    shards=shards,
                 ))
     return plans

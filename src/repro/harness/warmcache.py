@@ -27,9 +27,9 @@ warm-state corruption.
 The third persistence level: translated block/summary *sources* are
 deterministic text, so they round-trip through the on-disk
 ``BlockStore`` (``harness/cache.py``) keyed by :func:`block_key`.
-Cold workers and ``--shards`` slice children preload them and skip
-per-block codegen (the compiled closures themselves close over a live
-machine and are never pickled — only source text persists).
+Cold workers preload them and skip per-block codegen (the compiled
+closures themselves close over a live machine and are never pickled —
+only source text persists).
 """
 
 from __future__ import annotations
@@ -53,8 +53,6 @@ __all__ = [
     "image_fingerprint",
     "block_key",
     "preload_sources",
-    "set_block_root",
-    "get_block_root",
 ]
 
 #: Keep at most this many distinct images warm per process; suites
@@ -101,25 +99,8 @@ def block_key(image_fp: str, translate: bool = True) -> str:
     return hashlib.sha256(blob.encode("ascii")).hexdigest()
 
 
-# Ambient block-store root: sharding's slice children are forked deep
-# inside run_config, far from any Executor object, so the executor
-# parks the active store root here for harness/sharding.py to ship in
-# its worker payloads.
-_BLOCK_ROOT: str | None = None
-
-
-def set_block_root(root: str | None) -> None:
-    global _BLOCK_ROOT
-    _BLOCK_ROOT = str(root) if root is not None else None
-
-
-def get_block_root() -> str | None:
-    return _BLOCK_ROOT
-
-
 def preload_sources(doc: dict) -> int:
-    """Feed one BlockStore document into the in-process code caches
-    (also used directly by sharding's slice children)."""
+    """Feed one BlockStore document into the in-process code caches."""
     loaded = blocks.preload_block_sources(doc.get("sources") or ())
     loaded += blocksummary.preload_cp_sources(doc.get("cp_sources") or ())
     return loaded

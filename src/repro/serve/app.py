@@ -62,7 +62,7 @@ __all__ = ["ServeApp", "canonical_params", "render_suite_artifacts",
 #: Keys a submission's ``params`` document may carry.
 _PARAM_KEYS = frozenset((
     "scale", "workloads", "windowed", "window_sizes", "slide_fraction",
-    "models", "max_instructions", "translate", "shards",
+    "models", "max_instructions", "translate",
 ))
 
 
@@ -101,15 +101,11 @@ def canonical_params(doc: dict) -> dict:
             models=doc.get("models") or None,
             max_instructions=int(doc.get("max_instructions", 500_000_000)),
             translate=bool(doc.get("translate", True)),
-            shards=int(doc.get("shards", 1)),
         )
     except (TypeError, ValueError) as err:
         raise ExperimentError(f"bad params value: {err}") from None
     if params["scale"] <= 0:
         raise ExperimentError(f"scale must be > 0, got {params['scale']}")
-    if params["shards"] < 0:
-        raise ExperimentError(
-            f"shards must be >= 0 (0 = auto), got {params['shards']}")
     return params
 
 

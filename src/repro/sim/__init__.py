@@ -25,13 +25,7 @@ This package mirrors the parts of SimEng the paper relies on:
 
 from repro.sim.memory import Memory
 from repro.sim.machine import Machine
-from repro.sim.snapshot import CheckpointRecorder, MachineSnapshot
-from repro.sim.blocks import (
-    MAX_BLOCK,
-    BatchTranslator,
-    BlockTranslator,
-    fast_forward_translated,
-)
+from repro.sim.blocks import MAX_BLOCK, BatchTranslator, BlockTranslator
 from repro.sim.emucore import (
     DEFAULT_BATCH_SIZE,
     BatchSink,
@@ -54,9 +48,6 @@ __all__ = [
     "simulate",
     "Memory",
     "Machine",
-    "MachineSnapshot",
-    "CheckpointRecorder",
-    "fast_forward_translated",
     "MAX_BLOCK",
     "BlockTranslator",
     "BatchTranslator",

@@ -67,7 +67,6 @@ __all__ = [
     "run_translated",
     "run_batched_translated",
     "run_summary_translated",
-    "fast_forward_translated",
 ]
 
 #: Cap on superblock length; bounds per-block budget overshoot and the
@@ -883,82 +882,6 @@ def run_translated(core, max_instructions=500_000_000):
         stderr=bytes(machine.stderr),
         translation=core.translation_stats(),
     )
-
-
-def fast_forward_translated(core, count):
-    """Advance the machine by exactly ``count`` retired instructions.
-
-    The snapshot layer's fast-forward primitive: translated probe-free
-    execution with no sinks, no access recording, and — unlike
-    :func:`run_translated` — no budget *error*: landing on instruction
-    ``count`` is the goal, not a fault, so this simply returns the
-    number retired (``count``, or fewer iff the program exited first).
-    The stop is exact: a block that would overshoot falls back to
-    bounded interpretation, the same budget-boundary machinery the run
-    loops use, so the machine halts precisely between retirement
-    ``count`` and ``count + 1`` with ``machine.pc`` at the next
-    instruction (mid-block stops are fine — resumed runs re-enter via
-    ``entry_for``, which handles branch-into-middle PCs).
-
-    Retirements fold into ``machine.instret`` like every run loop's do,
-    so a fast-forwarded prefix plus a resumed run accounts exactly like
-    one uninterrupted run. (The guest-visible counter CSRs only ever
-    expose run-*start* values — the loops fold retirements in on
-    return — and nothing the compilers or the fuzz generator emit reads
-    them, so snapshotting the fast-forwarded count is exact for every
-    reachable guest.)
-    """
-    machine = core.machine
-    translator = core._translator
-    if translator is None:
-        translator = core._translator = BlockTranslator(core)
-    cache_get = translator.cache.get
-    new_entry = translator.entry_for
-    remaining = count
-    retired = 0
-    execs = 0
-    entry = None
-    try:
-        while machine.running and remaining > 0:
-            entry = cache_get(machine.pc)
-            if entry is None:
-                entry = new_entry(machine.pc)
-            while True:
-                n = entry[1]
-                if n > remaining:
-                    done = _interp_tail_plain(core, remaining)
-                    translator.interp_instructions += done
-                    retired += done
-                    remaining -= done
-                    break
-                if entry[6]:
-                    n = entry[0](machine, remaining)
-                else:
-                    entry[0](machine)
-                execs += 1
-                retired += n
-                remaining -= n
-                if not machine.running or remaining == 0:
-                    break
-                nxt = entry[2]
-                if nxt is None:
-                    chain_pc = entry[3]
-                    if chain_pc is None:
-                        break
-                    nxt = cache_get(chain_pc)
-                    if nxt is None:
-                        nxt = new_entry(chain_pc)
-                    entry[2] = nxt
-                    translator.chained += 1
-                entry = nxt
-    except (SimulationError, DecodeError) as err:
-        if entry is not None and getattr(err, "block_pc", None) is None:
-            err.block_pc = entry[5]
-        raise
-    finally:
-        machine.instret += retired
-        translator.executions += execs
-    return retired
 
 
 def run_batched_translated(core, sinks, *, batch_size,

@@ -291,35 +291,6 @@ class EmulationCore:
             stderr=bytes(machine.stderr),
         )
 
-    def fast_forward(self, count: int) -> int:
-        """Advance by exactly ``count`` retired instructions, no sinks.
-
-        The sharded executor's fast-forward primitive: probe-free
-        execution (translated when this core translates, bounded
-        interpretation otherwise) that stops precisely at retirement
-        ``count`` instead of treating it as budget exhaustion. Returns
-        the number retired — ``count``, or fewer iff the program
-        exited. Retirements fold into ``machine.instret`` exactly as a
-        run's would, so fast-forward + resumed run == one uninterrupted
-        run, state-for-state (see
-        :func:`repro.sim.blocks.fast_forward_translated`).
-        """
-        try:
-            if self.translate:
-                from repro.sim.blocks import fast_forward_translated
-
-                return fast_forward_translated(self, count)
-            from repro.sim.blocks import _interp_tail_plain
-
-            executed = _interp_tail_plain(self, count)
-            self.machine.instret += executed
-            return executed
-        except (SimulationError, DecodeError) as err:
-            from repro.sim import postmortem
-
-            postmortem.attach(self, err)
-            raise
-
     def run_batched(
         self,
         sinks: Sequence[BatchSink],

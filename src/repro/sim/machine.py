@@ -96,60 +96,6 @@ class Machine:
             raise SimulationError(f"write to read-only CSR {csr:#x}", pc=self.pc)
         raise SimulationError(f"write to unsupported CSR {csr:#x}", pc=self.pc)
 
-    # -- snapshot support --------------------------------------------------
-
-    def capture_state(self) -> dict:
-        """Architectural + process state as a plain serializable dict.
-
-        Everything except ``memory`` (the snapshot layer diffs that
-        separately) and ``syscall_handler`` (re-installed by whichever
-        core resumes the machine). The restoring side must keep object
-        identities intact — see :meth:`apply_state`.
-        """
-        return {
-            "isa_name": self.isa_name,
-            "r": list(self.r),
-            "f": list(self.f),
-            "pc": self.pc,
-            "nzcv": self.nzcv,
-            "reservation": self.reservation,
-            "csr_file": dict(self.csr_file),
-            "heap_end": self.heap_end,
-            "stack_top": self.stack_top,
-            "running": self.running,
-            "exit_code": self.exit_code,
-            "stdout": bytes(self.stdout),
-            "stderr": bytes(self.stderr),
-            "instret": self.instret,
-        }
-
-    def apply_state(self, doc: dict) -> None:
-        """Restore state captured by :meth:`capture_state`, in place.
-
-        ``r``/``f``/``stdout``/``stderr`` are mutated with slice
-        assignment, never rebound: compiled block functions close over
-        these objects by identity, so rebinding them would silently
-        decouple a warm translation cache from the machine.
-        """
-        if doc["isa_name"] != self.isa_name:
-            raise SimulationError(
-                f"snapshot is for {doc['isa_name']!r}, "
-                f"machine is {self.isa_name!r}")
-        self.r[:] = doc["r"]
-        self.f[:] = doc["f"]
-        self.pc = doc["pc"]
-        self.nzcv = doc["nzcv"]
-        self.reservation = doc["reservation"]
-        self.csr_file.clear()
-        self.csr_file.update(doc["csr_file"])
-        self.heap_end = doc["heap_end"]
-        self.stack_top = doc["stack_top"]
-        self.running = doc["running"]
-        self.exit_code = doc["exit_code"]
-        self.stdout[:] = doc["stdout"]
-        self.stderr[:] = doc["stderr"]
-        self.instret = doc["instret"]
-
     # -- debugging helpers ---------------------------------------------------
 
     def dump_registers(self) -> str:

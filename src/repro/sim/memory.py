@@ -110,48 +110,6 @@ class Memory:
             self.writes.append((addr, 4))
         _F32.pack_into(self.data, addr, value)
 
-    # -- snapshot support --------------------------------------------------
-
-    def diff_pages(self, shadow: bytearray | bytes,
-                   page_size: int = 4096) -> dict[int, bytes]:
-        """Pages of ``data`` that differ from ``shadow``, keyed by page index.
-
-        ``shadow`` must cover the same address space. Comparison is
-        page-granular: a page with any differing byte is returned whole,
-        so applying the result on top of ``shadow`` reproduces ``data``
-        exactly. The snapshot layer keeps ``shadow`` at the freshly
-        loaded image state, making the diff proportional to the guest's
-        working set rather than the 16 MiB address space.
-        """
-        if len(shadow) != self.size:
-            raise SimulationError(
-                f"shadow size {len(shadow)} != memory size {self.size}")
-        data = self.data
-        pages: dict[int, bytes] = {}
-        view_d = memoryview(data)
-        view_s = memoryview(shadow)
-        for off in range(0, self.size, page_size):
-            end = min(off + page_size, self.size)
-            if view_d[off:end] != view_s[off:end]:
-                pages[off // page_size] = bytes(view_d[off:end])
-        return pages
-
-    def apply_pages(self, pages: dict[int, bytes],
-                    page_size: int = 4096) -> None:
-        """Write page diffs produced by :meth:`diff_pages` back in place.
-
-        Mutates ``data`` in place (never rebinds it) — compiled block
-        functions hold the buffer by object identity.
-        """
-        data = self.data
-        for index, blob in pages.items():
-            off = index * page_size
-            if off < 0 or off + len(blob) > self.size:
-                raise SimulationError(
-                    f"snapshot page [{off:#x}, +{len(blob)}) outside memory",
-                    addr=off, size=len(blob))
-            data[off:off + len(blob)] = blob
-
     # -- recording control -----------------------------------------------
 
     def start_recording(self) -> None:

@@ -7,11 +7,6 @@ The tentpole invariants, stated as tests:
   on every workload and both ISAs — and the event path actually ran
   (``event_batches > 0``), so this is not the SoA fallback vouching for
   itself;
-* ``AnalysisState.merge`` is exact and associative: splitting the event
-  stream at *any* block boundary, analyzing the pieces independently
-  (suffixes in relative mode), and merging reproduces the serial result
-  byte-for-byte, over seeded-random kernelc programs (hypothesis-style)
-  and a real workload;
 * the typed :class:`AnalysisConfig` surface replaces the loose kwargs —
   legacy kwargs still work one release behind a ``DeprecationWarning``,
   mixing both surfaces is an error — and the versioned result/cache
@@ -21,7 +16,6 @@ The tentpole invariants, stated as tests:
 from __future__ import annotations
 
 import json
-import random
 import warnings
 
 import pytest
@@ -29,7 +23,6 @@ import pytest
 from repro.analysis import (
     AnalysisConfig,
     AnalysisResult,
-    AnalysisState,
     CriticalPathProbe,
     FusedAnalysisEngine,
     InstructionMixProbe,
@@ -37,7 +30,6 @@ from repro.analysis import (
     WindowedCPProbe,
 )
 from repro.common.errors import ExperimentError
-from repro.compiler import compile_source
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import ConfigResult, run_config
 from repro.harness.plan import ExperimentPlan
@@ -56,10 +48,10 @@ def _model(isa_name: str):
     return load_core_model(MODELS[isa_name])
 
 
-def _engine(compiled, *, windowed=True, relative=False):
+def _engine(compiled, *, windowed=True):
     return FusedAnalysisEngine(
         regions=compiled.image.regions, model=_model(compiled.isa_name),
-        windowed=windowed, window_sizes=WINDOWS, relative=relative,
+        windowed=windowed, window_sizes=WINDOWS,
     )
 
 
@@ -77,43 +69,6 @@ def _probe_result(compiled) -> dict:
         path=path.result(), cp=cp.result(), scaled_cp=scaled.result(),
         mix=mix.result(), windowed=window.results(),
     ).to_dict()
-
-
-class _EventRecorder:
-    """Capture the translated run's event stream so tests can re-feed it
-    to engines in arbitrary splits (every batch ends on a block
-    boundary, so batch indices *are* block-boundary split points)."""
-
-    needs_memory = True
-    accepts_events = True
-
-    def __init__(self):
-        self.table = None
-        self.summaries = None
-        self.batches: list[tuple] = []
-
-    def on_events(self, table, summaries, events, count, indices,
-                  read_ends, write_ends, reads, writes):
-        self.table = table
-        self.summaries = summaries
-        self.batches.append((list(events), count, list(indices),
-                             list(read_ends), list(write_ends),
-                             list(reads), list(writes)))
-
-
-def _record(compiled) -> _EventRecorder:
-    recorder = _EventRecorder()
-    run_image(compiled.image, get_isa(compiled.isa_name),
-              batch_sinks=[recorder])
-    assert recorder.batches, "translated run produced no event batches"
-    return recorder
-
-
-def _feed(engine, recorder, lo, hi) -> AnalysisState:
-    for i in range(lo, hi):
-        engine.on_events(recorder.table, recorder.summaries,
-                         *recorder.batches[i])
-    return engine.state()
 
 
 def _serial_result(compiled) -> dict:
@@ -142,110 +97,6 @@ def test_translation_registers_summaries():
     stats = run.translation
     assert stats is not None and stats["summary_blocks"] > 0
     assert engine.event_batches > 0
-
-
-# ------------------------------------------------- split/merge properties
-
-def _random_kernelc(seed: int) -> str:
-    rng = random.Random(seed)
-    n = rng.randrange(24, 80)
-    lines = [
-        f"global long ia[{n}];",
-        f"global double da[{n}];",
-        "global double out_d;",
-        "global long out_l;",
-        "func long main() {",
-        "  long acc = 1;",
-        "  double facc = 0.5;",
-        f"  for (long i = 0; i < {n}; i = i + 1) {{",
-        f"    ia[i] = i * {rng.randrange(1, 9)} + {rng.randrange(0, 5)};",
-        f"    da[i] = 1.0 + i * {rng.choice(['0.25', '0.5', '1.5'])};",
-        "  }",
-    ]
-    for _ in range(rng.randrange(2, 5)):
-        stride = rng.choice([1, 2, 3])
-        body = rng.choice([
-            "acc = acc + ia[i] * {k};",
-            "ia[i] = ia[i] + acc / (i + 1);",
-            "facc = facc + da[i] * {f};",
-            "da[i] = da[i] / (facc + 1.0) + {f};",
-            "if (ia[i] > {k}) { acc = acc + 1; } else { facc = facc + da[i]; }",
-        ])
-        body = body.replace("{k}", str(rng.randrange(1, 7)))
-        body = body.replace("{f}", rng.choice(["0.125", "2.0", "3.5"]))
-        lines.append(
-            f"  for (long i = 0; i < {n}; i = i + {stride}) {{ {body} }}"
-        )
-    lines += [
-        "  out_l = acc;",
-        "  out_d = facc;",
-        "  return 0;",
-        "}",
-    ]
-    return "\n".join(lines)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_split_at_any_boundary_matches_serial(seed):
-    # hypothesis-style: seeded random programs, every (sampled) split
-    # point; an absolute prefix merged with a relative suffix must equal
-    # the serial analysis exactly.
-    isa = ("aarch64", "rv64")[seed % 2]
-    compiled = compile_source(_random_kernelc(seed), isa, "gcc12")
-    serial = _serial_result(compiled)
-    recorder = _record(compiled)
-    n = len(recorder.batches)
-    splits = range(n + 1) if n <= 12 else (
-        sorted({0, 1, n // 3, n // 2, 2 * n // 3, n - 1, n})
-    )
-    for split in splits:
-        prefix = _feed(_engine(compiled), recorder, 0, split)
-        suffix = _feed(_engine(compiled, relative=True), recorder, split, n)
-        merged = prefix.merge(suffix)
-        assert merged.results().to_dict() == serial, f"split {split}/{n}"
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_merge_is_associative(seed):
-    isa = ("rv64", "aarch64")[seed % 2]
-    compiled = compile_source(_random_kernelc(seed + 100), isa, "gcc12")
-    serial = _serial_result(compiled)
-    recorder = _record(compiled)
-    n = len(recorder.batches)
-    rng = random.Random(seed)
-    cuts = sorted(rng.sample(range(n + 1), k=min(2, n + 1)))
-    i = cuts[0]
-    j = cuts[-1]
-    state_a = _feed(_engine(compiled), recorder, 0, i)
-    def state_b():
-        return _feed(_engine(compiled, relative=True), recorder, i, j)
-    def state_c():
-        return _feed(_engine(compiled, relative=True), recorder, j, n)
-    left = state_a.merge(state_b()).merge(state_c())
-    right = state_a.merge(state_b().merge(state_c()))
-    assert left.results().to_dict() == serial
-    assert right.results().to_dict() == serial
-
-
-def test_split_merge_on_real_workload():
-    compiled = get_workload("stream", SCALE).compile("rv64", "gcc12")
-    serial = _serial_result(compiled)
-    recorder = _record(compiled)
-    n = len(recorder.batches)
-    for split in (n // 4, n // 2, (3 * n) // 4):
-        prefix = _feed(_engine(compiled), recorder, 0, split)
-        suffix = _feed(_engine(compiled, relative=True), recorder, split, n)
-        assert prefix.merge(suffix).results().to_dict() == serial
-
-
-def test_relative_state_has_no_absolute_results():
-    compiled = compile_source(_random_kernelc(3), "rv64", "gcc12")
-    recorder = _record(compiled)
-    state = _feed(_engine(compiled, relative=True), recorder, 0,
-                  len(recorder.batches))
-    assert state.relative
-    with pytest.raises(RuntimeError, match="relative"):
-        state.results()
 
 
 # ------------------------------------------------ typed config surface

@@ -74,14 +74,6 @@ class TestDifferential:
         for seed in range(3):
             assert run_case(seed, "mixed") == []
 
-    def test_sharding_oracle_agrees_on_clean_programs(self):
-        from repro.fuzz.differential import diff_sharded
-
-        for seed in range(3):
-            compiled = compile_source(case_source(seed, "mixed"),
-                                      "rv64", "gcc12")
-            assert diff_sharded(compiled, seed=seed) == ""
-
     def test_warm_reuse_oracle_agrees_on_clean_programs(self):
         from repro.fuzz.differential import diff_warm
 

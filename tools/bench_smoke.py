@@ -35,13 +35,6 @@ It then runs a fault-injection smoke: the 4-config STREAM matrix across
 a 2-worker pool with one injected worker crash — the resilient executor
 must retry the killed plan and complete the suite (docs/robustness.md).
 
-Then a sharding smoke: a mid-size STREAM config analyzed serially
-and sharded must produce byte-identical result documents, and on a box
-with two or more cores the sharded run's wall-clock must not exceed the
-serial run's (on one core the timing comparison is skipped — sharding
-there degenerates to serial by design, so timing it would only measure
-noise).
-
 Finally, a warm-pool smoke: the 4-config STREAM matrix through the
 warm execution path must be byte-identical to and no slower than
 fresh-process execution (within ``WARM_MAX_RATIO`` — this guard runs
@@ -92,11 +85,6 @@ from repro.workloads import get_workload  # noqa: E402
 SCALE = 0.02
 REPEATS = 3
 RATIO_REPEATS = 8
-
-#: Problem-size scale for the sharding smoke: big enough that the
-#: fast-forward pass is amortizable on a multi-core box, small enough
-#: to stay a smoke test.
-SHARD_SCALE = 0.05
 
 #: A fully analyzed run (fused engine on block-summary events, no
 #: windowed pass — the §3–§5 metrics every suite config computes) may
@@ -268,47 +256,6 @@ def _fault_smoke() -> int:
         return 1
     print(f"OK: suite of {len(plans)} configs survived an injected "
           f"worker crash")
-    return 0
-
-
-def _shard_smoke() -> int:
-    """Sharded == serial byte-identity (and wall-clock on >= 2 cores)."""
-    import json
-    import os
-
-    from repro.analysis import AnalysisConfig
-    from repro.harness.experiments import run_config
-    from repro.workloads import get_workload
-
-    workload = get_workload("stream", SHARD_SCALE)
-    cfg = AnalysisConfig(windowed=False)
-
-    started = time.perf_counter()
-    serial = run_config(workload, "rv64", "gcc12", analysis=cfg)
-    serial_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    sharded = run_config(workload, "rv64", "gcc12", analysis=cfg, shards=0)
-    sharded_s = time.perf_counter() - started
-
-    if json.dumps(serial.to_dict(), sort_keys=True) != \
-            json.dumps(sharded.to_dict(), sort_keys=True):
-        print("FAIL: sharded result differs from serial", file=sys.stderr)
-        return 1
-    print(f"OK: sharded result byte-identical to serial "
-          f"(serial {serial_s:.2f}s, sharded {sharded_s:.2f}s)")
-
-    cores = os.cpu_count() or 1
-    if cores < 2:
-        print("skip: single-core box — sharded wall-clock guard needs "
-              ">= 2 cores")
-        return 0
-    if sharded_s > serial_s:
-        print(f"FAIL: sharded run ({sharded_s:.2f}s) slower than serial "
-              f"({serial_s:.2f}s) on {cores} cores — sharding has "
-              f"regressed into overhead", file=sys.stderr)
-        return 1
-    print(f"OK: sharded run no slower than serial on {cores} cores")
     return 0
 
 
@@ -671,7 +618,7 @@ def main() -> int:
           f"translation")
     return (_assemble_guard(compiled, isa)
             or _window_memo_guard(workload) or _fault_smoke()
-            or _shard_smoke() or _warm_smoke())
+            or _warm_smoke())
 
 
 if __name__ == "__main__":
