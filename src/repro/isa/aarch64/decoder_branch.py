@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
-from repro.common import DecodeError, MASK64, bits, sext
+from repro.common import DecodeError, MASK64, SimulationError, bits, sext
 from repro.isa.base import DEP_NZCV, DecodedInst, InstructionGroup
-from repro.isa.aarch64.decoder_util import ZR_SLOT, gp_deps, gp_slot, gp_text
-from repro.isa.aarch64.registers import condition_holds, condition_name
+from repro.isa.aarch64.decoder_util import (
+    condition_table,
+    gp_deps,
+    gp_slot,
+    gp_text,
+)
+from repro.isa.aarch64.registers import condition_name
 
 _G = InstructionGroup
 
@@ -59,8 +64,8 @@ def _decode_b_cond(word: int, pc: int) -> DecodedInst:
     offset = sext(bits(word, 23, 5), 19) << 2
     target = (pc + offset) & MASK64
 
-    def execute(m, cond=cond, target=target):
-        if condition_holds(cond, m.nzcv):
+    def execute(m, table=condition_table(cond), target=target):
+        if (table >> m.nzcv) & 1:
             m.pc = target
 
     name = f"b.{condition_name(cond)}"
@@ -164,7 +169,6 @@ def _decode_exception(word: int, pc: int) -> DecodedInst:
         )
     if opc == 0b001 and ll == 0:
         def execute(m):
-            from repro.common import SimulationError
             raise SimulationError("brk executed", pc=m.pc - 4)
         return DecodedInst(
             pc, word, "brk", f"brk #{imm16}", _G.SYSCALL, (), (), execute,

@@ -9,7 +9,13 @@ from __future__ import annotations
 from repro.common import DecodeError, MASK32, MASK64, bits, sext
 from repro.isa.base import DEP_NZCV, DecodedInst, InstructionGroup
 from repro.isa.aarch64 import semantics as sem
-from repro.isa.aarch64.decoder_util import ZR_SLOT, gp_deps, gp_slot, gp_text
+from repro.isa.aarch64.decoder_util import (
+    ZR_SLOT,
+    gp_deps,
+    gp_slot,
+    gp_text,
+    make_add_flags,
+)
 from repro.isa.aarch64.logical_imm import decode_bitmask_immediate
 
 _G = InstructionGroup
@@ -67,14 +73,9 @@ def _decode_add_sub_imm(word: int, pc: int) -> DecodedInst:
 
     if set_flags:
         operand_b = (~imm) & mask if op else imm
-        carry = 1 if op else 0
-        if rd == ZR_SLOT:
-            def execute(m, rn=rn, b=operand_b, carry=carry, is64=is64):
-                _res, m.nzcv = sem.add_with_flags(m.r[rn], b, carry, is64)
-        else:
-            def execute(m, rd=rd, rn=rn, b=operand_b, carry=carry, is64=is64):
-                result, m.nzcv = sem.add_with_flags(m.r[rn], b, carry, is64)
-                m.r[rd] = result
+        def execute(m, rn=rn, mask=mask, b=operand_b, carry=op,
+                    flags=make_add_flags(rd, is64)):
+            flags(m, m.r[rn] & mask, b, carry)
         mnemonic = "subs" if op else "adds"
         dsts = gp_deps(rd) + (DEP_NZCV,)
     else:
@@ -120,19 +121,7 @@ def _decode_logical_imm(word: int, pc: int) -> DecodedInst:
     set_flags = opc == 0b11
     rd = gp_slot(word & 0x1F, sp=not set_flags)
 
-    if opc == 0b00 or opc == 0b11:
-        mnemonic = "ands" if set_flags else "and"
-        def combine(a, b):
-            return a & b
-    elif opc == 0b01:
-        mnemonic = "orr"
-        def combine(a, b):
-            return a | b
-    else:
-        mnemonic = "eor"
-        def combine(a, b):
-            return a ^ b
-
+    mnemonic = ("and", "orr", "eor", "ands")[opc]
     mask = MASK64 if is64 else MASK32
     if set_flags:
         if rd == ZR_SLOT:
@@ -153,9 +142,15 @@ def _decode_logical_imm(word: int, pc: int) -> DecodedInst:
         if rd == ZR_SLOT:
             def execute(m):
                 pass
+        elif opc == 0b00:
+            def execute(m, rd=rd, rn=rn, imm=imm, mask=mask):
+                m.r[rd] = (m.r[rn] & imm) & mask
+        elif opc == 0b01:
+            def execute(m, rd=rd, rn=rn, imm=imm, mask=mask):
+                m.r[rd] = (m.r[rn] | imm) & mask
         else:
-            def execute(m, rd=rd, rn=rn, imm=imm, mask=mask, combine=combine):
-                m.r[rd] = combine(m.r[rn], imm) & mask
+            def execute(m, rd=rd, rn=rn, imm=imm, mask=mask):
+                m.r[rd] = (m.r[rn] ^ imm) & mask
         text = (
             f"{mnemonic} {gp_text(rd, is64, sp=True)},{gp_text(rn, is64)},#{imm:#x}"
         )
@@ -217,41 +212,42 @@ def _decode_move_wide(word: int, pc: int) -> DecodedInst:
 
 def _bitfield_execute(opc: int, rd: int, rn: int, immr: int, imms: int, is64: bool):
     """SBFM (opc 0) / BFM (1) / UBFM (2) semantics."""
+    if rd == ZR_SLOT:
+        def execute(m):
+            pass
+        return execute
     width = 64 if is64 else 32
     mask = MASK64 if is64 else MASK32
     r, s = immr, imms
     if s >= r:
         # extract bits s..r to the bottom
         field_width = s - r + 1
-        def extract_field(src):
-            return (src >> r) & ((1 << field_width) - 1)
+        low = r
         position = 0
     else:
         # insert bits s..0 at position width - r
         field_width = s + 1
+        low = 0
         position = width - r
-        def extract_field(src):
-            return (src & ((1 << field_width) - 1))
-
-    top_bit = position + field_width - 1
+    fmask = (1 << field_width) - 1
 
     if opc == 2:  # UBFM
-        def execute(m, rd=rd, rn=rn):
-            m.r[rd] = (extract_field(m.r[rn]) << position) & mask
+        def execute(m, rd=rd, rn=rn, low=low, fmask=fmask, position=position,
+                    mask=mask):
+            m.r[rd] = (((m.r[rn] >> low) & fmask) << position) & mask
     elif opc == 0:  # SBFM: sign-extend from the top of the field
-        def execute(m, rd=rd, rn=rn):
-            value = extract_field(m.r[rn]) << position
-            if value & (1 << top_bit):
-                value |= mask & ~((1 << (top_bit + 1)) - 1)
-            m.r[rd] = value & mask
+        fsign = 1 << (field_width - 1)
+        def execute(m, rd=rd, rn=rn, low=low, fmask=fmask, fsign=fsign,
+                    position=position, mask=mask):
+            m.r[rd] = (((((m.r[rn] >> low) & fmask) ^ fsign) - fsign)
+                       << position) & mask
     else:  # BFM: insert into existing rd
-        field_mask = ((1 << field_width) - 1) << position
-        def execute(m, rd=rd, rn=rn):
-            inserted = (extract_field(m.r[rn]) << position) & field_mask
-            m.r[rd] = (m.r[rd] & ~field_mask & mask) | inserted
-    if rd == ZR_SLOT:
-        def execute(m):
-            pass
+        field_mask = fmask << position
+        keep = ~field_mask & mask
+        def execute(m, rd=rd, rn=rn, low=low, fmask=fmask, position=position,
+                    field_mask=field_mask, keep=keep):
+            m.r[rd] = (m.r[rd] & keep) | ((((m.r[rn] >> low) & fmask)
+                                           << position) & field_mask)
     return execute
 
 

@@ -21,9 +21,17 @@ from repro.common import (
 )
 from repro.isa.base import DEP_NZCV, DecodedInst, InstructionGroup
 from repro.isa.aarch64 import semantics as sem
-from repro.isa.aarch64.decoder_util import ZR_SLOT, gp_deps, gp_slot, gp_text
+from repro.isa.aarch64.decoder_util import (
+    ZR_SLOT,
+    condition_table,
+    extend_fields,
+    gp_deps,
+    gp_slot,
+    gp_text,
+    make_add_flags,
+)
 from repro.isa.aarch64.encoding import EXTEND_NAMES, SHIFT_NAMES
-from repro.isa.aarch64.registers import condition_holds, condition_name
+from repro.isa.aarch64.registers import condition_name
 
 _G = InstructionGroup
 
@@ -97,8 +105,7 @@ def _decode_logical_shifted(word: int, pc: int) -> DecodedInst:
             def execute(m):
                 pass
         elif amount == 0:
-            def execute(m, rd=rd, rn=rn, rm=rm, mask=mask, combine=combine):
-                m.r[rd] = combine(m.r[rn], m.r[rm]) & mask
+            execute = _logical_unshifted(opc, neg, rd, rn, rm, mask)
         else:
             def execute(m, rd=rd, rn=rn, rm=rm, st=shift_type, amt=amount,
                         is64=is64, mask=mask, combine=combine):
@@ -120,6 +127,34 @@ def _decode_logical_shifted(word: int, pc: int) -> DecodedInst:
     )
 
 
+def _logical_unshifted(opc: int, neg: int, rd: int, rn: int, rm: int,
+                       mask: int):
+    """AND/BIC/ORR/ORN/EOR/EON (register, no shift) as a literal body;
+    ``mov`` (ORR from the zero register) reads only ``rm``."""
+    if opc == 0b01 and not neg and rn == ZR_SLOT:
+        def execute(m, rd=rd, rm=rm, mask=mask):
+            m.r[rd] = m.r[rm] & mask
+    elif opc == 0b00 and not neg:
+        def execute(m, rd=rd, rn=rn, rm=rm, mask=mask):
+            m.r[rd] = (m.r[rn] & m.r[rm]) & mask
+    elif opc == 0b00:
+        def execute(m, rd=rd, rn=rn, rm=rm, mask=mask):
+            m.r[rd] = (m.r[rn] & ~m.r[rm]) & mask
+    elif opc == 0b01 and not neg:
+        def execute(m, rd=rd, rn=rn, rm=rm, mask=mask):
+            m.r[rd] = (m.r[rn] | m.r[rm]) & mask
+    elif opc == 0b01:
+        def execute(m, rd=rd, rn=rn, rm=rm, mask=mask):
+            m.r[rd] = (m.r[rn] | ~m.r[rm]) & mask
+    elif not neg:
+        def execute(m, rd=rd, rn=rn, rm=rm, mask=mask):
+            m.r[rd] = (m.r[rn] ^ m.r[rm]) & mask
+    else:
+        def execute(m, rd=rd, rn=rn, rm=rm, mask=mask):
+            m.r[rd] = (m.r[rn] ^ ~m.r[rm]) & mask
+    return execute
+
+
 def _decode_add_sub_shifted(word: int, pc: int) -> DecodedInst:
     sf = bits(word, 31, 31)
     op = bits(word, 30, 30)
@@ -135,27 +170,18 @@ def _decode_add_sub_shifted(word: int, pc: int) -> DecodedInst:
     mask = MASK64 if is64 else MASK32
 
     if set_flags:
-        if op:  # SUBS
-            if rd == ZR_SLOT:
-                def execute(m, rn=rn, rm=rm, st=shift_type, amt=amount, is64=is64, mask=mask):
-                    operand = sem.shift_operand(m.r[rm], st, amt, is64)
-                    _r, m.nzcv = sem.add_with_flags(m.r[rn], (~operand) & mask, 1, is64)
-            else:
-                def execute(m, rd=rd, rn=rn, rm=rm, st=shift_type, amt=amount,
-                            is64=is64, mask=mask):
-                    operand = sem.shift_operand(m.r[rm], st, amt, is64)
-                    result, m.nzcv = sem.add_with_flags(m.r[rn], (~operand) & mask, 1, is64)
-                    m.r[rd] = result
-        else:  # ADDS
-            if rd == ZR_SLOT:
-                def execute(m, rn=rn, rm=rm, st=shift_type, amt=amount, is64=is64):
-                    operand = sem.shift_operand(m.r[rm], st, amt, is64)
-                    _r, m.nzcv = sem.add_with_flags(m.r[rn], operand, 0, is64)
-            else:
-                def execute(m, rd=rd, rn=rn, rm=rm, st=shift_type, amt=amount, is64=is64):
-                    operand = sem.shift_operand(m.r[rm], st, amt, is64)
-                    result, m.nzcv = sem.add_with_flags(m.r[rn], operand, 0, is64)
-                    m.r[rd] = result
+        # SUBS adds NOT operand with carry 1: flip the operand with ``inv``
+        flags = make_add_flags(rd, is64)
+        inv = mask if op else 0
+        if amount == 0:
+            def execute(m, rn=rn, rm=rm, mask=mask, inv=inv, carry=op,
+                        flags=flags):
+                flags(m, m.r[rn] & mask, (m.r[rm] & mask) ^ inv, carry)
+        else:
+            def execute(m, rn=rn, rm=rm, st=shift_type, amt=amount,
+                        is64=is64, mask=mask, inv=inv, carry=op, flags=flags):
+                flags(m, m.r[rn] & mask,
+                      sem.shift_operand(m.r[rm], st, amt, is64) ^ inv, carry)
         dsts = gp_deps(rd) + (DEP_NZCV,)
         mnemonic = "subs" if op else "adds"
     else:
@@ -207,21 +233,21 @@ def _decode_add_sub_extended(word: int, pc: int) -> DecodedInst:
     if shift > 4:
         raise DecodeError(word, pc)
 
+    emask, sbit = extend_fields(option)
     if set_flags:
-        if op:
-            def execute(m, rd=rd, rn=rn, rm=rm, option=option, shift=shift,
-                        is64=is64, mask=mask):
-                operand = sem.extend_operand(m.r[rm], option, shift, is64)
-                result, m.nzcv = sem.add_with_flags(m.r[rn], (~operand) & mask, 1, is64)
-                if rd != ZR_SLOT:
-                    m.r[rd] = result
+        flags = make_add_flags(rd, is64)
+        inv = mask if op else 0
+        if sbit:
+            def execute(m, rn=rn, rm=rm, emask=emask, sbit=sbit, shift=shift,
+                        mask=mask, inv=inv, carry=op, flags=flags):
+                flags(m, m.r[rn] & mask,
+                      (((((m.r[rm] & emask) ^ sbit) - sbit) << shift) & mask)
+                      ^ inv, carry)
         else:
-            def execute(m, rd=rd, rn=rn, rm=rm, option=option, shift=shift,
-                        is64=is64, mask=mask):
-                operand = sem.extend_operand(m.r[rm], option, shift, is64)
-                result, m.nzcv = sem.add_with_flags(m.r[rn], operand, 0, is64)
-                if rd != ZR_SLOT:
-                    m.r[rd] = result
+            def execute(m, rn=rn, rm=rm, emask=emask, shift=shift, mask=mask,
+                        inv=inv, carry=op, flags=flags):
+                flags(m, m.r[rn] & mask,
+                      (((m.r[rm] & emask) << shift) & mask) ^ inv, carry)
         dsts = gp_deps(rd) + (DEP_NZCV,)
         mnemonic = "subs" if op else "adds"
     else:
@@ -229,11 +255,16 @@ def _decode_add_sub_extended(word: int, pc: int) -> DecodedInst:
         if rd == ZR_SLOT:
             def execute(m):
                 pass
+        elif sbit:
+            def execute(m, rd=rd, rn=rn, rm=rm, emask=emask, sbit=sbit,
+                        shift=shift, mask=mask, sign=sign):
+                m.r[rd] = (m.r[rn] + sign * ((((m.r[rm] & emask) ^ sbit)
+                                              - sbit) << shift)) & mask
         else:
-            def execute(m, rd=rd, rn=rn, rm=rm, option=option, shift=shift,
-                        is64=is64, mask=mask, sign=sign):
-                operand = sem.extend_operand(m.r[rm], option, shift, is64)
-                m.r[rd] = (m.r[rn] + sign * operand) & mask
+            def execute(m, rd=rd, rn=rn, rm=rm, emask=emask, shift=shift,
+                        mask=mask, sign=sign):
+                m.r[rd] = (m.r[rn] + sign * ((m.r[rm] & emask) << shift)
+                           ) & mask
         dsts = gp_deps(rd)
         mnemonic = "sub" if op else "add"
 
@@ -263,35 +294,30 @@ def _decode_cond_select(word: int, pc: int) -> DecodedInst:
     rd = gp_slot(word & 0x1F, sp=False)
     is64 = bool(sf)
     mask = MASK64 if is64 else MASK32
-    key = (op, op2)
-    if key == (0, 0):
-        mnemonic = "csel"
-        def alt(value, mask=mask):
-            return value
-    elif key == (0, 1):
-        mnemonic = "csinc"
-        def alt(value, mask=mask):
-            return (value + 1) & mask
-    elif key == (1, 0):
-        mnemonic = "csinv"
-        def alt(value, mask=mask):
-            return (~value) & mask
-    elif key == (1, 1):
-        mnemonic = "csneg"
-        def alt(value, mask=mask):
-            return (-value) & mask
-    else:  # pragma: no cover
+    if op2 > 1:
         raise DecodeError(word, pc)
+    mnemonic = ("csel", "csinc", "csinv", "csneg")[(op << 1) | op2]
+    table = condition_table(cond)
 
+    # the selected rn is copied as is; only the rm alternative is masked
     if rd == ZR_SLOT:
         def execute(m):
             pass
+    elif mnemonic == "csel":
+        def execute(m, rd=rd, rn=rn, rm=rm, table=table):
+            m.r[rd] = m.r[rn] if (table >> m.nzcv) & 1 else m.r[rm]
+    elif mnemonic == "csinc":
+        def execute(m, rd=rd, rn=rn, rm=rm, table=table, mask=mask):
+            m.r[rd] = (m.r[rn] if (table >> m.nzcv) & 1
+                       else (m.r[rm] + 1) & mask)
+    elif mnemonic == "csinv":
+        def execute(m, rd=rd, rn=rn, rm=rm, table=table, mask=mask):
+            m.r[rd] = (m.r[rn] if (table >> m.nzcv) & 1
+                       else (~m.r[rm]) & mask)
     else:
-        def execute(m, rd=rd, rn=rn, rm=rm, cond=cond, alt=alt):
-            if condition_holds(cond, m.nzcv):
-                m.r[rd] = m.r[rn]
-            else:
-                m.r[rd] = alt(m.r[rm])
+        def execute(m, rd=rd, rn=rn, rm=rm, table=table, mask=mask):
+            m.r[rd] = (m.r[rn] if (table >> m.nzcv) & 1
+                       else (-m.r[rm]) & mask)
 
     cname = condition_name(cond)
     if mnemonic == "csinc" and rn == ZR_SLOT and rm == ZR_SLOT:
@@ -440,15 +466,10 @@ def _decode_dp3(word: int, pc: int) -> DecodedInst:
     is64 = bool(sf)
     mask = MASK64 if is64 else MASK32
 
+    compute = None
     if op31 == 0b000:
-        if o0 == 0:
-            mnemonic = "madd"
-            def compute(m, rn=rn, rm=rm, ra=ra, mask=mask):
-                return (m.r[ra] + m.r[rn] * m.r[rm]) & mask
-        else:
-            mnemonic = "msub"
-            def compute(m, rn=rn, rm=rm, ra=ra, mask=mask):
-                return (m.r[ra] - m.r[rn] * m.r[rm]) & mask
+        # MADD/MSUB: literal bodies below
+        mnemonic = "madd" if o0 == 0 else "msub"
         srcs = gp_deps(rn, rm, ra)
     elif op31 == 0b001 and is64:  # SMADDL/SMSUBL
         mnemonic = "smaddl" if o0 == 0 else "smsubl"
@@ -478,6 +499,12 @@ def _decode_dp3(word: int, pc: int) -> DecodedInst:
     if rd == ZR_SLOT:
         def execute(m):
             pass
+    elif mnemonic == "madd":
+        def execute(m, rd=rd, rn=rn, rm=rm, ra=ra, mask=mask):
+            m.r[rd] = (m.r[ra] + m.r[rn] * m.r[rm]) & mask
+    elif mnemonic == "msub":
+        def execute(m, rd=rd, rn=rn, rm=rm, ra=ra, mask=mask):
+            m.r[rd] = (m.r[ra] - m.r[rn] * m.r[rm]) & mask
     else:
         def execute(m, rd=rd, compute=compute):
             m.r[rd] = compute(m)

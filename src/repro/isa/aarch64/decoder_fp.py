@@ -9,11 +9,21 @@ from __future__ import annotations
 
 import math
 
-from repro.common import DecodeError, MASK64, bits, s32, s64, u64
+from repro.common import (
+    DecodeError,
+    MASK32,
+    MASK64,
+    bits,
+    bits_to_f32,
+    bits_to_f64,
+    f32_to_bits,
+    f64_to_bits,
+)
 from repro.isa.base import DEP_NZCV, DecodedInst, InstructionGroup
 from repro.isa.aarch64 import semantics as sem
 from repro.isa.aarch64.decoder_util import (
     ZR_SLOT,
+    condition_table,
     fp_deps,
     fp_text,
     gp_deps,
@@ -21,7 +31,7 @@ from repro.isa.aarch64.decoder_util import (
     gp_text,
 )
 from repro.isa.aarch64.encoding import MOVI_D_ZERO_BASE, vfp_expand_imm8
-from repro.isa.aarch64.registers import condition_holds, condition_name
+from repro.isa.aarch64.registers import condition_name
 from repro.isa.riscv.semantics import fmax as _fmax, fmin as _fmin, fsqrt as _fsqrt
 
 _G = InstructionGroup
@@ -80,28 +90,32 @@ def _decode_fp2(word: int, pc: int) -> DecodedInst:
     rn = bits(word, 9, 5)
     rd = word & 0x1F
 
+    # a None operation is a literal expression (_fp2_arith)
     table = {
-        0b0000: ("fmul", _G.FP_MUL, lambda a, b: a * b),
+        0b0000: ("fmul", _G.FP_MUL, None),
         0b0001: ("fdiv", _G.FP_DIV_SQRT, _safe_div),
-        0b0010: ("fadd", _G.FP_SIMPLE, lambda a, b: a + b),
-        0b0011: ("fsub", _G.FP_SIMPLE, lambda a, b: a - b),
+        0b0010: ("fadd", _G.FP_SIMPLE, None),
+        0b0011: ("fsub", _G.FP_SIMPLE, None),
         0b0100: ("fmax", _G.FP_SIMPLE, _fmax),
         0b0101: ("fmin", _G.FP_SIMPLE, _fmin),
         0b0110: ("fmaxnm", _G.FP_SIMPLE, _fmax),
         0b0111: ("fminnm", _G.FP_SIMPLE, _fmin),
-        0b1000: ("fnmul", _G.FP_MUL, lambda a, b: -(a * b)),
+        0b1000: ("fnmul", _G.FP_MUL, None),
     }
     entry = table.get(opcode)
     if entry is None:
         raise DecodeError(word, pc)
     mnemonic, group, op = entry
 
-    if double:
-        def execute(m, rd=rd, rn=rn, rm=rm, op=op):
-            m.f[rd] = op(m.f[rn], m.f[rm])
+    if op is not None:
+        if double:
+            def execute(m, rd=rd, rn=rn, rm=rm, op=op):
+                m.f[rd] = op(m.f[rn], m.f[rm])
+        else:
+            def execute(m, rd=rd, rn=rn, rm=rm, op=op):
+                m.f[rd] = sem.round_f32(op(m.f[rn], m.f[rm]))
     else:
-        def execute(m, rd=rd, rn=rn, rm=rm, op=op):
-            m.f[rd] = sem.round_f32(op(m.f[rn], m.f[rm]))
+        execute = _fp2_arith(mnemonic, double, rd, rn, rm)
     text = (
         f"{mnemonic} {fp_text(rd, double)},{fp_text(rn, double)},"
         f"{fp_text(rm, double)}"
@@ -109,6 +123,39 @@ def _decode_fp2(word: int, pc: int) -> DecodedInst:
     return DecodedInst(
         pc, word, mnemonic, text, group, fp_deps(rn, rm), fp_deps(rd), execute,
     )
+
+
+def _fp2_arith(mnemonic: str, double: bool, rd: int, rn: int, rm: int):
+    """FMUL/FADD/FSUB/FNMUL as literal expressions (single precision
+    rounds the double result, as every S-register op does)."""
+    if mnemonic == "fmul":
+        if double:
+            def execute(m, rd=rd, rn=rn, rm=rm):
+                m.f[rd] = m.f[rn] * m.f[rm]
+        else:
+            def execute(m, rd=rd, rn=rn, rm=rm):
+                m.f[rd] = sem.round_f32(m.f[rn] * m.f[rm])
+    elif mnemonic == "fadd":
+        if double:
+            def execute(m, rd=rd, rn=rn, rm=rm):
+                m.f[rd] = m.f[rn] + m.f[rm]
+        else:
+            def execute(m, rd=rd, rn=rn, rm=rm):
+                m.f[rd] = sem.round_f32(m.f[rn] + m.f[rm])
+    elif mnemonic == "fsub":
+        if double:
+            def execute(m, rd=rd, rn=rn, rm=rm):
+                m.f[rd] = m.f[rn] - m.f[rm]
+        else:
+            def execute(m, rd=rd, rn=rn, rm=rm):
+                m.f[rd] = sem.round_f32(m.f[rn] - m.f[rm])
+    elif double:  # fnmul
+        def execute(m, rd=rd, rn=rn, rm=rm):
+            m.f[rd] = -(m.f[rn] * m.f[rm])
+    else:
+        def execute(m, rd=rd, rn=rn, rm=rm):
+            m.f[rd] = sem.round_f32(-(m.f[rn] * m.f[rm]))
+    return execute
 
 
 def _safe_div(a: float, b: float) -> float:
@@ -125,17 +172,26 @@ def _decode_fp1(word: int, pc: int) -> DecodedInst:
     rn = bits(word, 9, 5)
     rd = word & 0x1F
 
+    op = None  # FMOV and FNEG are literal bodies
     if opcode == 0b000000:
         mnemonic, group = "fmov", _G.FP_MOVE
-        def op(v):
-            return v
+        if double:
+            def execute(m, rd=rd, rn=rn):
+                m.f[rd] = m.f[rn]
+        else:
+            def execute(m, rd=rd, rn=rn):
+                m.f[rd] = sem.round_f32(m.f[rn])
     elif opcode == 0b000001:
         mnemonic, group = "fabs", _G.FP_SIMPLE
         op = abs
     elif opcode == 0b000010:
         mnemonic, group = "fneg", _G.FP_SIMPLE
-        def op(v):
-            return -v
+        if double:
+            def execute(m, rd=rd, rn=rn):
+                m.f[rd] = -m.f[rn]
+        else:
+            def execute(m, rd=rd, rn=rn):
+                m.f[rd] = sem.round_f32(-m.f[rn])
     elif opcode == 0b000011:
         mnemonic, group = "fsqrt", _G.FP_DIV_SQRT
         op = _fsqrt
@@ -157,12 +213,13 @@ def _decode_fp1(word: int, pc: int) -> DecodedInst:
     else:
         raise DecodeError(word, pc)
 
-    if double:
-        def execute(m, rd=rd, rn=rn, op=op):
-            m.f[rd] = op(m.f[rn])
-    else:
-        def execute(m, rd=rd, rn=rn, op=op):
-            m.f[rd] = sem.round_f32(op(m.f[rn]))
+    if op is not None:
+        if double:
+            def execute(m, rd=rd, rn=rn, op=op):
+                m.f[rd] = op(m.f[rn])
+        else:
+            def execute(m, rd=rd, rn=rn, op=op):
+                m.f[rd] = sem.round_f32(op(m.f[rn]))
     text = f"{mnemonic} {fp_text(rd, double)},{fp_text(rn, double)}"
     return DecodedInst(
         pc, word, mnemonic, text, group, fp_deps(rn), fp_deps(rd), execute,
@@ -180,14 +237,18 @@ def _decode_fp_compare(word: int, pc: int) -> DecodedInst:
         raise DecodeError(word, pc)
     mnemonic = "fcmpe" if signalling else "fcmp"
 
+    # the flags of semantics.fp_compare_flags: <, =, >, unordered
     if with_zero:
         def execute(m, rn=rn):
-            m.nzcv = sem.fp_compare_flags(m.f[rn], 0.0)
+            a = m.f[rn]
+            m.nzcv = 8 if a < 0.0 else 6 if a == 0.0 else 2 if a > 0.0 else 3
         text = f"{mnemonic} {fp_text(rn, double)},#0.0"
         srcs = fp_deps(rn)
     else:
         def execute(m, rn=rn, rm=rm):
-            m.nzcv = sem.fp_compare_flags(m.f[rn], m.f[rm])
+            a = m.f[rn]
+            b = m.f[rm]
+            m.nzcv = 8 if a < b else 6 if a == b else 2 if a > b else 3
         text = f"{mnemonic} {fp_text(rn, double)},{fp_text(rm, double)}"
         srcs = fp_deps(rn, rm)
     return DecodedInst(
@@ -217,8 +278,8 @@ def _decode_fp_csel(word: int, pc: int) -> DecodedInst:
     rn = bits(word, 9, 5)
     rd = word & 0x1F
 
-    def execute(m, rd=rd, rn=rn, rm=rm, cond=cond):
-        m.f[rd] = m.f[rn] if condition_holds(cond, m.nzcv) else m.f[rm]
+    def execute(m, rd=rd, rn=rn, rm=rm, table=condition_table(cond)):
+        m.f[rd] = m.f[rn] if (table >> m.nzcv) & 1 else m.f[rm]
 
     text = (
         f"fcsel {fp_text(rd, double)},{fp_text(rn, double)},"
@@ -263,20 +324,16 @@ def _decode_fp_int(word: int, pc: int) -> DecodedInst:
         rn = gp_slot(rn_field, sp=False)
         rd = rd_field
         mnemonic = "scvtf" if signed else "ucvtf"
-        if signed:
-            to_signed = s64 if gp_is64 else s32
-            def convert(v, to_signed=to_signed):
-                return float(to_signed(v))
-        else:
-            mask = MASK64 if gp_is64 else 0xFFFF_FFFF
-            def convert(v, mask=mask):
-                return float(v & mask)
+        # the source as a signed (sbit set) or unsigned integer
+        mask = MASK64 if gp_is64 else MASK32
+        sbit = 1 << (gp_width - 1) if signed else 0
         if double:
-            def execute(m, rd=rd, rn=rn, convert=convert):
-                m.f[rd] = convert(m.r[rn])
+            def execute(m, rd=rd, rn=rn, mask=mask, sbit=sbit):
+                m.f[rd] = float(((m.r[rn] & mask) ^ sbit) - sbit)
         else:
-            def execute(m, rd=rd, rn=rn, convert=convert):
-                m.f[rd] = sem.round_f32(convert(m.r[rn]))
+            def execute(m, rd=rd, rn=rn, mask=mask, sbit=sbit):
+                m.f[rd] = sem.round_f32(
+                    float(((m.r[rn] & mask) ^ sbit) - sbit))
         text = f"{mnemonic} {fp_text(rd, double)},{gp_text(rn, gp_is64)}"
         return DecodedInst(
             pc, word, mnemonic, text, _G.FP_CVT, gp_deps(rn), fp_deps(rd), execute,
@@ -292,11 +349,9 @@ def _decode_fp_int(word: int, pc: int) -> DecodedInst:
             rd = rd_field
             if double:
                 def execute(m, rd=rd, rn=rn):
-                    from repro.common import bits_to_f64
                     m.f[rd] = bits_to_f64(m.r[rn])
             else:
                 def execute(m, rd=rd, rn=rn):
-                    from repro.common import bits_to_f32
                     m.f[rd] = bits_to_f32(m.r[rn])
             text = f"fmov {fp_text(rd, double)},{gp_text(rn, gp_is64)}"
             return DecodedInst(
@@ -310,11 +365,9 @@ def _decode_fp_int(word: int, pc: int) -> DecodedInst:
                 pass
         elif double:
             def execute(m, rd=rd, rn=rn):
-                from repro.common import f64_to_bits
                 m.r[rd] = f64_to_bits(m.f[rn])
         else:
             def execute(m, rd=rd, rn=rn):
-                from repro.common import f32_to_bits
                 m.r[rd] = f32_to_bits(m.f[rn])
         text = f"fmov {gp_text(rd, gp_is64)},{fp_text(rn, double)}"
         return DecodedInst(

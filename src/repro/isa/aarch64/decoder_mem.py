@@ -12,9 +12,8 @@ The register-offset forms are the heart of the paper's §3.3 analysis —
 
 from __future__ import annotations
 
-from repro.common import DecodeError, MASK64, bits, sext
+from repro.common import DecodeError, MASK32, MASK64, bits, sext
 from repro.isa.base import DecodedInst, InstructionGroup
-from repro.isa.aarch64 import semantics as sem
 from repro.isa.aarch64.decoder_util import (
     ZR_SLOT,
     fp_deps,
@@ -26,6 +25,9 @@ from repro.isa.aarch64.decoder_util import (
 from repro.isa.aarch64.encoding import EXTEND_NAMES
 
 _G = InstructionGroup
+
+#: Sign bit of a W register (SXTW index extension).
+_SIGN32 = 1 << 31
 
 
 def decode_load_store(word: int, pc: int) -> DecodedInst:
@@ -158,9 +160,18 @@ def _decode_register_forms(word: int, pc: int) -> DecodedInst:
             raise DecodeError(word, pc)
         s_bit = bits(word, 12, 12)
         shift = scale if s_bit else 0
-        def execute(m, rn=rn, rm=rm, option=option, shift=shift, apply=apply):
-            offset = sem.extend_operand(m.r[rm], option, shift, True)
-            apply(m, (m.r[rn] + offset) & MASK64)
+        # the extended, shifted index is added into the address; sums wrap
+        # modulo 2**64, so the final mask also truncates a 64-bit index
+        if option == 2:    # UXTW
+            def execute(m, rn=rn, rm=rm, shift=shift, apply=apply):
+                apply(m, (m.r[rn] + ((m.r[rm] & MASK32) << shift)) & MASK64)
+        elif option == 6:  # SXTW
+            def execute(m, rn=rn, rm=rm, shift=shift, apply=apply):
+                apply(m, (m.r[rn] + ((((m.r[rm] & MASK32) ^ _SIGN32) - _SIGN32)
+                                     << shift)) & MASK64)
+        else:              # LSL/UXTX and SXTX: the whole register
+            def execute(m, rn=rn, rm=rm, shift=shift, apply=apply):
+                apply(m, (m.r[rn] + (m.r[rm] << shift)) & MASK64)
         ext = EXTEND_NAMES[option]
         ext_text = "lsl" if ext == "uxtx" else ext
         amount_text = f" #{shift}" if s_bit else ""

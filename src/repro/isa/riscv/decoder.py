@@ -10,7 +10,17 @@ from __future__ import annotations
 
 import math
 
-from repro.common import DecodeError, MASK64, s32, s64, u64
+from repro.common import (
+    DecodeError,
+    MASK64,
+    bits_to_f32,
+    bits_to_f64,
+    f32_to_bits,
+    f64_to_bits,
+    s32,
+    s64,
+    u64,
+)
 from repro.isa.base import DEP_FP_BASE, DecodedInst, InstructionGroup
 from repro.isa.riscv import encoding as enc
 from repro.isa.riscv import semantics as sem
@@ -405,7 +415,6 @@ def _fp_unary_execute(name: str, rd: int, rs1: int, rm: int):
         return execute, _G.FP_CVT, _ideps(rs1), _fdeps(rd)
     if name == "fmv.x.d":
         def execute(m, rd=rd, rs1=rs1):
-            from repro.common import f64_to_bits
             m.r[rd] = f64_to_bits(m.f[rs1])
         if rd == 0:
             def execute(m):
@@ -413,12 +422,10 @@ def _fp_unary_execute(name: str, rd: int, rs1: int, rm: int):
         return execute, _G.FP_MOVE, _fdeps(rs1), _ideps(rd)
     if name == "fmv.d.x":
         def execute(m, rd=rd, rs1=rs1):
-            from repro.common import bits_to_f64
             m.f[rd] = bits_to_f64(m.r[rs1])
         return execute, _G.FP_MOVE, _ideps(rs1), _fdeps(rd)
     if name == "fmv.x.w":
         def execute(m, rd=rd, rs1=rs1):
-            from repro.common import f32_to_bits
             m.r[rd] = u64(s32(f32_to_bits(m.f[rs1])))
         if rd == 0:
             def execute(m):
@@ -426,7 +433,6 @@ def _fp_unary_execute(name: str, rd: int, rs1: int, rm: int):
         return execute, _G.FP_MOVE, _fdeps(rs1), _ideps(rd)
     if name == "fmv.w.x":
         def execute(m, rd=rd, rs1=rs1):
-            from repro.common import bits_to_f32
             m.f[rd] = bits_to_f32(m.r[rs1])
         return execute, _G.FP_MOVE, _ideps(rs1), _fdeps(rd)
     if name.startswith("fclass"):

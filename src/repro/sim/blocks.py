@@ -92,14 +92,12 @@ _SEM_HOOK = None
 _SYSCALL = InstructionGroup.SYSCALL
 _ATOMIC = InstructionGroup.ATOMIC
 
-#: Block-local bookkeeping names inlined bodies must not assign.
-_BOOKKEEPING = frozenset({"rb", "wb"})
-
 #: A visible, plain PC assignment emitted by the inliner or the hoist.
 _PC_ASSIGN = re.compile(r"^\s*m\.pc = ")
-#: A fallback executor call — may set ``m.pc`` internally, so its
-#: presence disables the loop-local PC transform.
-_FALLBACK_CALL = re.compile(r"^\s*_e\d+\(m\)$")
+#: A call handed the machine — a fallback executor call, or a nested
+#: executor the inliner could not flatten — may set ``m.pc`` internally,
+#: so its presence disables the loop-local PC transform.
+_FALLBACK_CALL = re.compile(r"\b\w+\(m[,)]")
 #: An identifier-like run. Binding names are identifiers, so a block's
 #: text matches ``\bname\b`` exactly when ``name`` is one of its maximal
 #: ``\w+`` runs: one scan finds every free name, whatever the number of
@@ -227,7 +225,7 @@ _CODE_CACHE: dict = {}
 #: layout, bookkeeping names, inlining conventions). The persistent
 #: block cache (:class:`repro.harness.cache.BlockStore`) keys on this,
 #: so stale on-disk sources are orphaned instead of silently preloaded.
-TRANSLATOR_VERSION = 1
+TRANSLATOR_VERSION = 2
 
 #: Compile-cache telemetry: ``hits`` are translation-reuse events (a
 #: regenerated block source matched a cached code object), ``misses``
@@ -336,12 +334,18 @@ class _TranslatorBase:
         self._temp_counter += 1
         return f"_t{self._temp_counter}"
 
-    def _inst_lines(self, i, inst, bindings, reserved=frozenset()):
+    def _inst_lines(self, i, inst, bindings):
         """Inlined source lines for one instruction, falling back to a
         call of its pre-bound executor."""
         from repro.sim.inline import inline_statements
 
-        lines = inline_statements(inst, self.ctx, self._fresh, reserved)
+        if i == 0:
+            # temporaries are locals of one block function: numbering
+            # them per block keeps a block's source independent of the
+            # blocks translated before it, so identical blocks share one
+            # cached code object
+            self._temp_counter = 0
+        lines = inline_statements(inst, self.ctx, self._fresh)
         if lines is not None:
             self.inlined_instructions += 1
             return lines
@@ -366,7 +370,7 @@ class _TranslatorBase:
         """
         local = True
         for line in body:
-            if _FALLBACK_CALL.match(line):
+            if _FALLBACK_CALL.search(line):
                 local = False
                 break
             n = line.count("m.pc")
@@ -661,8 +665,7 @@ class BatchTranslator(_TranslatorBase):
         for i, inst in enumerate(insts):
             if i == length - 1:
                 body.append(f"m.pc = {insts[-1].pc + 4}")
-            body.extend(self._inst_lines(i, inst, bindings,
-                                         reserved=_BOOKKEEPING))
+            body.extend(self._inst_lines(i, inst, bindings))
             if dynamic[i]:
                 flush_segment()
                 body.append("rb = _len(_rd)")

@@ -65,8 +65,14 @@ double-count nothing (docs/dist.md)::
 
     PYTHONPATH=src python tools/bench_smoke.py --dist-only
 
-Full numbers live in ``benchmarks/BENCH_emucore.json``; regenerate them
-with ``benchmarks/bench_emucore.py`` when the core changes.
+Beside the RV64 lines it prints the translated AArch64 rate on STREAM.
+That line is a report only, with no guard: it puts a change in AArch64
+emulation speed next to the RV64 rate measured in the same run.
+
+The end-to-end benchmark, with per-layer splits and pinned outputs,
+is ``perfbench/`` (see ``perfbench/README.md``)::
+
+    python3 perfbench/run.py --workload stream-large --trace 1
 """
 
 from __future__ import annotations
@@ -599,6 +605,12 @@ def main() -> int:
           f"({interp_s:.3f}s for {instructions} instructions)")
     print(f"translated : {trans_ips / 1e6:6.2f} M inst/s "
           f"({trans_s:.3f}s, {interp_s / trans_s:.2f}x)")
+    a64 = workload.compile("aarch64", "gcc12")
+    a64_s, a64_instructions = _best(a64.image, get_isa(a64.isa_name),
+                                    translate=True)
+    print(f"aarch64    : {a64_instructions / a64_s / 1e6:6.2f} M inst/s "
+          f"translated ({a64_s:.3f}s for {a64_instructions} instructions; "
+          f"report only)")
 
     if trans_ips < interp_ips:
         print("FAIL: translated path is slower than the interpreter",
