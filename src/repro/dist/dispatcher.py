@@ -40,12 +40,11 @@ from repro.common.errors import ExperimentError
 from repro.dist.protocol import Framed, ProtocolError
 from repro.harness import faults
 from repro.harness.events import (DistStats, EventBus, NodeJoined, NodeLost,
-                                  PlanCacheHit, PlanFailed, PlanFinished,
-                                  PlanRedispatched, PlanStarted, SuiteFinished,
-                                  SuiteStarted)
-from repro.harness.executor import (AttemptRecord, PlanFailureReport,
-                                    SuiteExecutionError, backoff_delay)
-from repro.harness.experiments import ConfigResult
+                                  PlanCacheHit, PlanFailed, PlanRedispatched,
+                                  PlanStarted, SuiteFinished, SuiteStarted)
+from repro.harness.executor import (PlanFailureReport, SuiteExecutionError,
+                                    backoff_delay, decode_result, land_result,
+                                    record_attempt)
 
 __all__ = ["Dispatcher", "RemoteNode"]
 
@@ -451,21 +450,18 @@ class Dispatcher:
             if node is not None:
                 node.tasks_done += 1
             if doc.get("ok"):
-                result = ConfigResult.from_dict(doc["result"])
-                result.translation = doc.get("translation")
-                results[plan] = result
+                result = results[plan] = decode_result(doc)
                 done_fp.add(fp)
                 bump("completed")
                 # A plan requeued after its lease expired may still be
                 # in pending — the late result satisfies it.
                 pending[:] = [it for it in pending if it[0] is not plan]
                 fallback[:] = [p for p in fallback if p is not plan]
-                seconds = float(doc.get("seconds", 0.0))
-                if self.cache is not None:
-                    self.cache.put(plan, result, seconds=seconds)
-                self.events.emit(PlanFinished(
-                    plan=plan, index=indices[plan], total=total,
-                    seconds=seconds, attempt=attempt))
+                land_result(plan, result, events=self.events,
+                            cache=self.cache, index=indices[plan],
+                            total=total,
+                            seconds=float(doc.get("seconds", 0.0)),
+                            attempt=attempt, fault_context=False)
                 lease_done(lease_id, "ok", node_name)
                 return
             # Remote failure: transient errors get more remote attempts
@@ -474,21 +470,15 @@ class Dispatcher:
             message = str(doc.get("error") or "remote execution failed")
             transient = bool(doc.get("transient"))
             lease_done(lease_id, "failed", node_name)
-            report = reports.setdefault(plan, PlanFailureReport(plan=plan))
-            history = tuple(a.error for a in report.attempts)
-            report.attempts.append(AttemptRecord(
-                attempt=attempt, error=f"[{node_name}] {message}",
-                transient=transient,
-                seconds=float(doc.get("seconds", 0.0))))
-            if not transient:
-                failures[plan] = message
-                self.events.emit(PlanFailed(
-                    plan=plan, error=message, attempt=attempt,
-                    will_retry=False, history=history))
-                return
+            history = record_attempt(
+                reports, plan, attempt, f"[{node_name}] {message}",
+                transient=transient, seconds=float(doc.get("seconds", 0.0)))
             self.events.emit(PlanFailed(
                 plan=plan, error=message, attempt=attempt,
-                will_retry=True, history=history))
+                will_retry=transient, history=history))
+            if not transient:
+                failures[plan] = message
+                return
             if attempt < self.retries + 1:
                 delay = backoff_delay(attempt, base=self.backoff,
                                       cap=self.backoff_cap, rng=self._rng)

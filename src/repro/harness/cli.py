@@ -5,7 +5,7 @@ Subcommands::
     repro-isa-compare run    [--scale S] [--workloads stream,lbm,...]
                              [--jobs N] [--timeout SEC] [--heartbeat SEC]
                              [--retries N] [--resume RUN_ID]
-                             [--no-warm-pool] [--max-tasks-per-worker N]
+                             [--max-tasks-per-worker N]
                              [--cache-dir DIR] [--no-cache]
                              [--skip-windowed] [--windows 4,16,...]
                              [--out DIR] [--future-cores] [--quiet]
@@ -171,15 +171,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--retries", type=int, default=1,
                        help="extra attempts after a transient failure "
                             "(default 1)")
-    run_p.add_argument("--warm-pool", dest="warm_pool", action="store_true",
-                       default=True,
-                       help="persistent warm workers: reuse loaded images "
-                            "and translated blocks across plans (default)")
-    run_p.add_argument("--no-warm-pool", dest="warm_pool",
-                       action="store_false",
-                       help="legacy mode: fork a fresh process per plan "
-                            "attempt, no cross-plan reuse (the byte-identity "
-                            "baseline)")
     run_p.add_argument("--max-tasks-per-worker", type=int, default=0,
                        metavar="N",
                        help="recycle each warm worker after N plans "
@@ -525,7 +516,6 @@ def _cmd_run(args) -> int:
             retries=args.retries,
             events=bus,
             translate=bool(params.get("translate", True)),
-            warm_pool=args.warm_pool,
             max_tasks_per_worker=args.max_tasks_per_worker,
         )
     finally:

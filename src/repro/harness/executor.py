@@ -18,10 +18,10 @@ into :class:`ConfigResult` values. For each plan it
    per worker instead of once per plan. Workers recycle after
    ``max_tasks_per_worker`` tasks or on any fault; machine state is
    rebuilt per plan, so results are byte-identical to fresh-process
-   execution (``warm_pool=False`` restores the legacy
-   process-per-plan-attempt pool as the baseline). ``jobs=None``
-   defaults to one worker per CPU, capped at the number of plans to
-   simulate;
+   execution (``warm_pool=False`` is that baseline: the same pool loop,
+   but each worker retires after one task and no block store is
+   shared). ``jobs=None`` defaults to one worker per CPU, capped at the
+   number of plans to simulate;
 3. supervises workers two ways: a per-plan wall-clock ``timeout`` (the
    budget for *legitimate* work) and a ``heartbeat`` deadline (a worker
    that stops beating is wedged — deadlocked, swapped out, or stuck in
@@ -37,10 +37,16 @@ into :class:`ConfigResult` values. For each plan it
    (:class:`~repro.harness.events.ExecutorDegraded`);
 6. emits structured telemetry (:mod:`repro.harness.events`) throughout.
 
+Every finished plan — serial, pooled, or run on a remote node by
+:class:`repro.dist.dispatcher.Dispatcher` — lands through
+:func:`land_result`, the one place that writes the cache entry before
+emitting :class:`PlanFinished`; every failed attempt is recorded by
+:func:`record_attempt`.
+
 Fault injection (:mod:`repro.harness.faults`) threads through every one
-of these paths — ``execute_plan`` and ``_child_main`` check their sites,
-and the active plan ships to workers as a serialized argument — at zero
-cost when no plan is installed.
+of these paths — ``execute_plan`` and the worker's per-task body
+``_child_main`` check their sites, and the active plan ships to workers
+as a serialized argument — at zero cost when no plan is installed.
 
 Results computed in worker processes travel back through the same
 versioned ``to_dict``/``from_dict`` round-trip the cache uses, so the
@@ -104,7 +110,7 @@ class AttemptRecord:
     #: the attempt died on a guest fault (survives the worker pipe).
     fault: dict | None = None
     #: True when the attempt ran on a warm (reused) worker, False on a
-    #: cold one, None when unknown (legacy pool, serial path).
+    #: cold one, None when unknown (serial path, remote node).
     warm: bool | None = None
 
 
@@ -131,6 +137,62 @@ class SuiteExecutionError(ExperimentError):
         detail = "; ".join(r.describe() for r in reports)
         super().__init__(
             f"{len(reports)} of {total} plans failed: {detail}")
+
+
+def record_attempt(reports: dict, plan: ExperimentPlan, attempt: int,
+                   error: str, *, transient: bool, seconds: float = 0.0,
+                   fault: dict | None = None,
+                   warm: bool | None = None) -> tuple[str, ...]:
+    """Append one failed attempt to ``plan``'s report in ``reports``;
+    returns the errors of the attempts before it (the ``history`` of
+    the :class:`PlanFailed` event the caller emits)."""
+    report = reports.setdefault(plan, PlanFailureReport(plan=plan))
+    history = tuple(a.error for a in report.attempts)
+    report.attempts.append(AttemptRecord(
+        attempt=attempt, error=error, transient=transient,
+        seconds=seconds, fault=fault, warm=warm))
+    return history
+
+
+def decode_result(msg: dict) -> "ConfigResult":
+    """The :class:`ConfigResult` carried by a successful result message
+    (from a pool worker or a remote node): the result dict plus the
+    translation counters that travel beside it."""
+    from repro.harness.experiments import ConfigResult
+
+    result = ConfigResult.from_dict(msg["result"])
+    result.translation = msg.get("translation")
+    return result
+
+
+def land_result(plan: ExperimentPlan, result: "ConfigResult", *,
+                events: EventBus, cache: ResultCache | None, index: int,
+                total: int, seconds: float, attempt: int,
+                trace_hit: bool = False, fault_context: bool = True) -> None:
+    """Land one finished plan: its trace-hit and translation events,
+    then its cache entry, then :class:`PlanFinished`.
+
+    The serial loop, the pool loop and the dist dispatcher all call
+    this. The journals record a plan as done on ``PlanFinished``, so its
+    cache entry must already be on disk by then. With an installed fault
+    plan and ``fault_context``, the cache write runs under this plan's
+    context so plan-filtered cache faults match it; the dispatcher
+    passes False, because its node threads share the process-global
+    context.
+    """
+    if trace_hit:
+        events.emit(PlanTraceHit(plan=plan, index=index, total=total,
+                                 key=plan.trace_fingerprint()))
+    if result.translation is not None:
+        events.emit(PlanTranslationStats(plan=plan, index=index, total=total,
+                                         stats=result.translation))
+    if cache is not None:
+        if fault_context and faults.active() is not None:
+            faults.set_context(plan=plan.describe(), attempt=attempt,
+                               in_worker=False)
+        cache.put(plan, result, seconds=seconds)
+    events.emit(PlanFinished(plan=plan, index=index, total=total,
+                             seconds=seconds, attempt=attempt))
 
 
 def execute_plan(plan: ExperimentPlan,
@@ -214,71 +276,130 @@ def _heartbeat_loop(conn, lock, interval, stop, gate=None) -> None:
                 return
 
 
+class _WorkerState:
+    """What a worker process keeps across its tasks: the result pipe and
+    its send lock, the heartbeat thread with its stop flag and gate,
+    the trace store and the warm cache."""
+
+    def __init__(self, conn, trace_root: str | None = None,
+                 heartbeat: float | None = None,
+                 block_root: str | None = None):
+        self.conn = conn
+        self.heartbeat = heartbeat
+        self.lock = threading.Lock()
+        self.stop = threading.Event()
+        #: The heartbeat gate: beats go out only while it is set.
+        self.beating = threading.Event()
+        self.beater: threading.Thread | None = None
+        self.store = TraceStore(trace_root) if trace_root else None
+        self.warm = WarmCache(BlockStore(block_root) if block_root else None)
+        self.tasks = 0
+
+    def start_beats(self) -> None:
+        """Open the heartbeat gate, starting the thread on first use."""
+        if self.heartbeat and self.beater is None:
+            self.beater = threading.Thread(
+                target=_heartbeat_loop,
+                args=(self.conn, self.lock, min(1.0, self.heartbeat / 4.0),
+                      self.stop, self.beating),
+                daemon=True,
+            )
+            self.beater.start()
+        self.beating.set()
+
+    def send(self, msg: dict, *, quiet: bool = False) -> None:
+        """Send one message on the result pipe; ``quiet`` swallows a
+        dead pipe (failure reports are best effort)."""
+        try:
+            with self.lock:
+                self.conn.send(msg)
+        except Exception:
+            if not quiet:
+                raise
+
+
 def _child_main(conn, plan_doc: dict, trace_root: str | None = None,
                 fault_doc: dict | None = None,
-                heartbeat: float | None = None, attempt: int = 1) -> None:
-    """Worker-process entry point: simulate and ship the result dict.
+                heartbeat: float | None = None, attempt: int = 1, *,
+                state: _WorkerState | None = None) -> bool:
+    """Run one task in a worker process and send its result message.
 
-    Installs the serialized fault plan (if any) and checks the ``worker``
-    site *before* the heartbeat thread starts — an injected ``hang``
-    therefore models a truly wedged worker (no beats at all), and an
-    injected ``crash`` dies without a report, exactly like the real
-    failures they stand in for.
+    This is the per-task body of :func:`_pool_worker_main`, which passes
+    its long-lived ``state``. Called without one it is a whole one-task
+    worker: it installs ``fault_doc`` and builds its own state from
+    ``trace_root`` and ``heartbeat``.
+
+    The reply is ``{"ok": True, "result", "seconds", "trace_hit",
+    "translation", ...}`` or ``{"ok": False, "error", "transient",
+    "fault", "poisoned", ...}``, both tagged ``warm`` (did this task run
+    on a reused worker?) and ``warm_stats`` (this task's warm-cache
+    counter movement). A ``KeyboardInterrupt``/``SystemExit`` is
+    reported and re-raised: Ctrl-C/SIGTERM must tear the worker down
+    promptly, not masquerade as a plan failure.
+
+    With a fault plan the ``worker`` site is checked while the heartbeat
+    gate is closed, so an injected ``hang`` models a worker that never
+    beats, even when the heartbeat thread is already running from an
+    earlier task, and a ``crash`` dies without a report.
+
+    Returns True when the worker must exit: a :class:`WarmStateError`
+    (the fingerprint re-check caught a poisoned warm entry) means a
+    process that corrupted one cache entry cannot be trusted with the
+    rest, so the parent respawns a clean one and the plan retries there.
     """
-    send_lock = threading.Lock()
-    stop = threading.Event()
+    own = state is None
+    if own:
+        if fault_doc:
+            faults.install(faults.FaultPlan.from_dict(fault_doc))
+        state = _WorkerState(conn, trace_root, heartbeat)
+    was_warm = state.tasks > 0
+    started = time.monotonic()
     try:
         plan = ExperimentPlan.from_dict(plan_doc)
         if fault_doc:
-            faults.install(faults.FaultPlan.from_dict(fault_doc))
             faults.set_context(plan=plan.describe(), attempt=attempt,
                                in_worker=True)
             faults.check("worker")
-        if heartbeat:
-            threading.Thread(
-                target=_heartbeat_loop,
-                args=(conn, send_lock, min(1.0, heartbeat / 4.0), stop),
-                daemon=True,
-            ).start()
-        store = TraceStore(trace_root) if trace_root else None
-        started = time.monotonic()
-        result = (execute_plan(plan, store) if store is not None
-                  else execute_plan(plan))
-        stop.set()
-        with send_lock:
-            conn.send({"ok": True, "result": result.to_dict(),
-                       "seconds": time.monotonic() - started,
-                       "trace_hit": bool(store and store.stats.hits),
-                       "translation": result.translation})
+        state.start_beats()
+        store = state.store
+        trace_hits = store.stats.hits if store is not None else 0
+        result = execute_plan(plan, store, warm_cache=state.warm)
+        state.send({"ok": True, "result": result.to_dict(),
+                    "seconds": time.monotonic() - started,
+                    "trace_hit": (store is not None
+                                  and store.stats.hits > trace_hits),
+                    "translation": result.translation,
+                    "warm": was_warm,
+                    "warm_stats": state.warm.take_delta()})
+        return False
     except (KeyboardInterrupt, SystemExit):
-        # report, then RE-RAISE: Ctrl-C/SIGTERM must tear the worker
-        # down promptly, not masquerade as a plan failure
-        stop.set()
-        try:
-            with send_lock:
-                conn.send({"ok": False, "error": "worker interrupted",
-                           "transient": False})
-        except Exception:
-            pass
+        state.send({"ok": False, "error": "worker interrupted",
+                    "transient": False, "warm": was_warm}, quiet=True)
         raise
     except Exception as err:
-        stop.set()
+        poisoned = isinstance(err, WarmStateError)
         report = getattr(err, "fault_report", None)
-        try:
-            with send_lock:
-                conn.send({"ok": False,
-                           "error": f"{type(err).__name__}: {err}",
-                           "transient": isinstance(err, _TRANSIENT),
-                           "fault": (report.to_dict()
-                                     if report is not None else None)})
-        except Exception:
-            pass
+        state.send({"ok": False, "error": f"{type(err).__name__}: {err}",
+                    "transient": isinstance(err, _TRANSIENT),
+                    "fault": report.to_dict() if report is not None else None,
+                    "warm": was_warm, "poisoned": poisoned,
+                    "warm_stats": state.warm.take_delta()}, quiet=True)
+        return poisoned
     finally:
-        stop.set()
-        try:
-            conn.close()
-        except Exception:
-            pass
+        state.tasks += 1
+        # Close the heartbeat gate while idle: a persistent worker may
+        # sit between tasks (or between whole runs, when the parent
+        # Executor is persistent) with nobody draining the result pipe —
+        # unchecked beats would fill the pipe buffer and wedge the
+        # heartbeat thread while it holds the send lock, deadlocking
+        # the next task's result send.
+        state.beating.clear()
+        if own:
+            state.stop.set()
+            try:
+                conn.close()
+            except Exception:
+                pass
 
 
 def _pool_worker_main(task_conn, result_conn, trace_root: str | None = None,
@@ -286,36 +407,18 @@ def _pool_worker_main(task_conn, result_conn, trace_root: str | None = None,
                       heartbeat: float | None = None,
                       block_root: str | None = None,
                       worker: int = 0) -> None:
-    """Persistent-worker entry point: loop over tasks from the queue.
+    """Pool-worker entry point: run tasks from the queue until told to stop.
 
     One process, many plans: the :class:`WarmCache` built here outlives
     every task, so the second plan on this worker reuses the first's
     workload image and translated blocks. Per task the worker receives
-    ``{"plan": doc, "attempt": n}``, replies with a result/failure
-    message tagged ``warm`` (did this attempt run on a reused worker?)
-    and ``warm_stats`` (that task's cache-counter movement), and waits
-    for the next. ``{"stop": True}`` (or queue EOF) retires it.
-
-    A :class:`WarmStateError` — the fingerprint re-check caught a
-    poisoned warm entry — is reported with ``poisoned=True`` and the
-    worker *exits*: a process that corrupted one cache entry cannot be
-    trusted with the rest, so the parent respawns a clean one and the
-    plan retries there. The ``worker`` fault site is checked before
-    each task, matching the legacy one-check-per-spawn semantics
-    task-for-task; the heartbeat gate stays closed across that check so
-    an injected ``hang`` still models a worker that never beats, even
-    when the heartbeat thread is already running from an earlier task.
+    ``{"plan": doc, "attempt": n}`` and runs :func:`_child_main` on it.
+    ``{"stop": True}`` (or queue EOF) retires it, and so does a poisoned
+    warm cache. ``worker`` is the parent's slot number for this process.
     """
-    send_lock = threading.Lock()
-    stop = threading.Event()
-    beating = threading.Event()
     if fault_doc:
         faults.install(faults.FaultPlan.from_dict(fault_doc))
-    store = TraceStore(trace_root) if trace_root else None
-    block_store = BlockStore(block_root) if block_root else None
-    warm = WarmCache(block_store)
-    hb_started = False
-    tasks_done = 0
+    state = _WorkerState(result_conn, trace_root, heartbeat, block_root)
     try:
         while True:
             try:
@@ -324,76 +427,11 @@ def _pool_worker_main(task_conn, result_conn, trace_root: str | None = None,
                 return
             if not isinstance(task, dict) or task.get("stop"):
                 return
-            plan = ExperimentPlan.from_dict(task["plan"])
-            attempt = int(task.get("attempt", 1))
-            was_warm = tasks_done > 0
-            started = time.monotonic()
-            beating.clear()
-            try:
-                if fault_doc:
-                    faults.set_context(plan=plan.describe(), attempt=attempt,
-                                       in_worker=True)
-                    faults.check("worker")
-                if heartbeat and not hb_started:
-                    threading.Thread(
-                        target=_heartbeat_loop,
-                        args=(result_conn, send_lock,
-                              min(1.0, heartbeat / 4.0), stop, beating),
-                        daemon=True,
-                    ).start()
-                    hb_started = True
-                beating.set()
-                trace_hits = store.stats.hits if store is not None else 0
-                result = execute_plan(plan, store, warm_cache=warm)
-                with send_lock:
-                    result_conn.send({
-                        "ok": True, "result": result.to_dict(),
-                        "seconds": time.monotonic() - started,
-                        "trace_hit": bool(store is not None
-                                          and store.stats.hits > trace_hits),
-                        "translation": result.translation,
-                        "warm": was_warm,
-                        "warm_stats": warm.take_delta(),
-                    })
-            except (KeyboardInterrupt, SystemExit):
-                try:
-                    with send_lock:
-                        result_conn.send({"ok": False,
-                                          "error": "worker interrupted",
-                                          "transient": False,
-                                          "warm": was_warm})
-                except Exception:
-                    pass
-                raise
-            except Exception as err:
-                poisoned = isinstance(err, WarmStateError)
-                report = getattr(err, "fault_report", None)
-                try:
-                    with send_lock:
-                        result_conn.send({
-                            "ok": False,
-                            "error": f"{type(err).__name__}: {err}",
-                            "transient": isinstance(err, _TRANSIENT),
-                            "fault": (report.to_dict()
-                                      if report is not None else None),
-                            "warm": was_warm,
-                            "poisoned": poisoned,
-                            "warm_stats": warm.take_delta(),
-                        })
-                except Exception:
-                    pass
-                if poisoned:
-                    return
-            tasks_done += 1
-            # Close the heartbeat gate while idle: a persistent worker
-            # may sit between tasks (or between whole runs, when the
-            # parent Executor is persistent) with nobody draining the
-            # result pipe — unchecked beats would fill the pipe buffer
-            # and wedge the heartbeat thread while it holds send_lock,
-            # deadlocking the next task's result send.
-            beating.clear()
+            if _child_main(result_conn, task["plan"], fault_doc=fault_doc,
+                           attempt=int(task.get("attempt", 1)), state=state):
+                return
     finally:
-        stop.set()
+        state.stop.set()
         for conn in (task_conn, result_conn):
             try:
                 conn.close()
@@ -484,10 +522,10 @@ class Executor:
             seeded jitter in [0.5, 1.0]. 0 disables the wait.
         backoff_cap: upper bound on the exponential delay.
         warm_pool: keep worker processes alive across plans with warm
-            per-process caches (the default). False restores the legacy
-            fresh-process-per-plan-attempt pool and a cache-less serial
-            path — the byte-identity baseline warm mode is tested
-            against.
+            per-process caches (the default). False is the byte-identity
+            baseline warm mode is tested against: pool workers retire
+            after every task and share no block store, and the serial
+            path runs without a warm cache.
         max_tasks_per_worker: retire a warm worker after this many
             tasks (0 = never); a fresh process takes its place while
             plans remain.
@@ -532,8 +570,8 @@ class Executor:
         self.backoff_cap = backoff_cap
         if persistent and not warm_pool:
             raise ExperimentError(
-                "persistent=True requires warm_pool=True (the legacy "
-                "pool has no workers to keep alive)")
+                "persistent=True requires warm_pool=True (without it "
+                "workers retire after every task)")
         self.warm_pool = warm_pool
         self.max_tasks_per_worker = max_tasks_per_worker
         self.persistent = persistent
@@ -593,9 +631,6 @@ class Executor:
                     results.update(self._run_serial(
                         todo, indices, total, failures, reports,
                         warm=warm_serial))
-                elif self.warm_pool:
-                    results.update(self._run_warm_pool(
-                        todo, indices, total, failures, reports, jobs))
                 else:
                     results.update(self._run_pool(
                         todo, indices, total, failures, reports, jobs))
@@ -660,13 +695,19 @@ class Executor:
     def close(self) -> None:
         """Retire every persistent pool worker (idempotent; a no-op for
         non-persistent executors, whose pools die with each ``run``)."""
-        for worker in list(self._pool_workers):
-            tasks, slot = worker["tasks"], worker["slot"]
-            _stop_pool_worker(worker, force=False)
-            self._pool_workers.remove(worker)
-            if tasks:
+        self._retire(self._pool_workers)
+
+    def _retire(self, workers: list[dict], *, force: bool = False) -> None:
+        """Stop every worker in ``workers``, emptying the list. A
+        graceful stop reports each worker that ran tasks as a
+        ``shutdown`` recycle."""
+        while workers:
+            worker = workers.pop(0)
+            _stop_pool_worker(worker, force=force)
+            if worker["tasks"] and not force:
                 self.events.emit(WorkerRecycled(
-                    worker=slot, tasks=tasks, reason="shutdown"))
+                    worker=worker["slot"], tasks=worker["tasks"],
+                    reason="shutdown"))
 
     def __enter__(self) -> "Executor":
         return self
@@ -696,18 +737,21 @@ class Executor:
         return backoff_delay(failed_attempt, base=self.backoff,
                              cap=self.backoff_cap, rng=self._rng)
 
-    def _record_failure(self, reports, plan, attempt, message, transient,
-                        seconds=0.0, fault=None, warm=None,
-                        ) -> tuple[bool, tuple[str, ...]]:
-        """Append an attempt record; returns (will_retry, prior_errors)."""
-        report = reports.get(plan)
-        if report is None:
-            report = reports[plan] = PlanFailureReport(plan=plan)
-        history = tuple(a.error for a in report.attempts)
-        report.attempts.append(AttemptRecord(
-            attempt=attempt, error=message, transient=transient,
-            seconds=seconds, fault=fault, warm=warm))
-        return (transient and attempt <= self.retries), history
+    def _attempt_failed(self, reports, failures, plan, attempt, message, *,
+                        transient, started, fault=None, warm=None) -> bool:
+        """Record a failed attempt and emit :class:`PlanFailed`; returns
+        whether the plan gets another attempt (else it joins
+        ``failures``)."""
+        history = record_attempt(
+            reports, plan, attempt, message, transient=transient,
+            seconds=time.monotonic() - started, fault=fault, warm=warm)
+        retry = transient and attempt <= self.retries
+        self.events.emit(PlanFailed(
+            plan=plan, error=message, attempt=attempt, will_retry=retry,
+            history=history))
+        if not retry:
+            failures[plan] = message
+        return retry
 
     # -- serial path -----------------------------------------------------
 
@@ -730,15 +774,10 @@ class Executor:
                 try:
                     result = execute_plan(plan, traces, warm_cache=warm)
                 except _TRANSIENT as err:
-                    message = f"{type(err).__name__}: {err}"
-                    seconds = time.monotonic() - plan_started
-                    retry, history = self._record_failure(
-                        reports, plan, attempt, message, True, seconds)
-                    self.events.emit(PlanFailed(
-                        plan=plan, error=message, attempt=attempt,
-                        will_retry=retry, history=history))
-                    if not retry:
-                        failures[plan] = message
+                    if not self._attempt_failed(
+                            reports, failures, plan, attempt,
+                            f"{type(err).__name__}: {err}", transient=True,
+                            started=plan_started):
                         break
                     delay = self._backoff_delay(attempt)
                     if delay:
@@ -747,87 +786,61 @@ class Executor:
                     continue
                 except (ReproError, AssertionError) as err:
                     # deterministic: simulator/config bugs surface as-is
-                    message = f"{type(err).__name__}: {err}"
                     fault = getattr(err, "fault_report", None)
-                    _retry, history = self._record_failure(
-                        reports, plan, attempt, message, False,
-                        time.monotonic() - plan_started,
+                    self._attempt_failed(
+                        reports, failures, plan, attempt,
+                        f"{type(err).__name__}: {err}", transient=False,
+                        started=plan_started,
                         fault=fault.to_dict() if fault is not None else None)
-                    self.events.emit(PlanFailed(
-                        plan=plan, error=message,
-                        attempt=attempt, will_retry=False, history=history))
                     raise
-                seconds = time.monotonic() - plan_started
-                if traces is not None and traces.stats.hits > trace_hits:
-                    self.events.emit(PlanTraceHit(
-                        plan=plan, index=indices[plan], total=total,
-                        key=plan.trace_fingerprint()))
-                if result.translation is not None:
-                    self.events.emit(PlanTranslationStats(
-                        plan=plan, index=indices[plan], total=total,
-                        stats=result.translation))
                 results[plan] = result
-                # the journals record a plan as done on PlanFinished, so
-                # its cache entry must already be on disk by then
-                if self.cache is not None:
-                    if injecting:
-                        faults.set_context(plan=plan.describe(),
-                                           attempt=attempt, in_worker=False)
-                    self.cache.put(plan, result, seconds=seconds)
-                self.events.emit(PlanFinished(
-                    plan=plan, index=indices[plan], total=total,
-                    seconds=seconds, attempt=attempt))
+                land_result(
+                    plan, result, events=self.events, cache=self.cache,
+                    index=indices[plan], total=total,
+                    seconds=time.monotonic() - plan_started, attempt=attempt,
+                    trace_hit=(traces is not None
+                               and traces.stats.hits > trace_hits))
                 break
         return results
 
-    # -- warm persistent pool --------------------------------------------
+    # -- worker pool -----------------------------------------------------
 
-    def _run_warm_pool(self, todo, indices, total, failures, reports, jobs):
-        """Queue-based dispatch over persistent warm workers.
+    def _run_pool(self, todo, indices, total, failures, reports, jobs):
+        """Queue-based dispatch over pool worker processes.
 
-        Up to ``jobs`` long-lived processes each run one task at a
-        time; a finished worker immediately pulls the next ready plan,
-        so retries land on live warm workers instead of paying a fresh
-        fork (the queue is the reuse mechanism). The PR 4 supervision
-        contract carries over task-for-task: per-task wall-clock
-        ``timeout``, per-task ``heartbeat`` deadline, transient retries
-        with seeded backoff, strike-counted pool failures degrading to
-        serial. Workers additionally recycle — after
-        ``max_tasks_per_worker`` tasks, on any death/timeout/hang, and
-        on a ``poisoned`` warm-state report — each recycle emitting
-        :class:`WorkerRecycled`.
+        Up to ``jobs`` processes each run one task at a time; a finished
+        worker immediately pulls the next ready plan, so retries land on
+        live warm workers instead of paying a fresh fork (the queue is
+        the reuse mechanism). Supervision is per task: wall-clock
+        ``timeout``, ``heartbeat`` deadline, transient retries with
+        seeded backoff, strike-counted pool failures degrading to
+        serial. Workers recycle — after ``max_tasks_per_worker`` tasks
+        (after every task when ``warm_pool`` is off), on any
+        death/timeout/hang, and on a ``poisoned`` warm-state report —
+        each recycle emitting :class:`WorkerRecycled`.
         """
-        from repro.harness.experiments import ConfigResult
-
         ctx = _mp_context()
+        # (plan, attempt, ready_at): backoff delays schedule retries
         pending: list[tuple[ExperimentPlan, int, float]] = [
             (plan, 1, 0.0) for plan in todo]
         results = {}
         trace_root = (str(self.cache.traces.root)
                       if self.cache is not None else None)
         block_root = (str(self.cache.blocks.root)
-                      if self.cache is not None else None)
+                      if self.cache is not None and self.warm_pool else None)
+        max_tasks = self.max_tasks_per_worker if self.warm_pool else 1
         fault_doc = faults.export()
-        injecting = fault_doc is not None
         if self.persistent:
             # Reuse the fleet from prior runs. A changed fault plan
             # invalidates the workers (they installed the old one at
-            # spawn), and a worker that died while idle is swept here
-            # rather than striking against this run.
+            # spawn).
             if self._pool_workers and self._pool_fault_doc != fault_doc:
                 self.close()
             self._pool_fault_doc = fault_doc
             workers = self._pool_workers
-            for worker in list(workers):
-                if not worker["proc"].is_alive():
-                    tasks, slot = worker["tasks"], worker["slot"]
-                    _stop_pool_worker(worker, force=True)
-                    workers.remove(worker)
-                    self.events.emit(WorkerRecycled(
-                        worker=slot, tasks=tasks, reason="fault"))
         else:
             workers = []
-        strikes = 0
+        strikes = 0       # consecutive pool-level failures
         degraded = False
         orphans: list[ExperimentPlan] = []
 
@@ -850,54 +863,30 @@ class Executor:
             workers.append(worker)
             return worker
 
-        def close_worker(worker, *, force: bool) -> None:
-            _stop_pool_worker(worker, force=force)
-            if worker in workers:
-                workers.remove(worker)
-
         def recycle(worker, reason: str, *, force: bool) -> None:
-            tasks, slot = worker["tasks"], worker["slot"]
-            close_worker(worker, force=force)
+            _stop_pool_worker(worker, force=force)
+            workers.remove(worker)
             self.events.emit(WorkerRecycled(
-                worker=slot, tasks=tasks, reason=reason))
+                worker=worker["slot"], tasks=worker["tasks"], reason=reason))
 
-        def finish(plan, attempt, started, message=None, transient=False,
-                   payload=None, fault=None, warm=None):
-            nonlocal strikes
-            if payload is not None:
-                strikes = 0
-                seconds = payload.get("seconds", 0.0)
-                result = ConfigResult.from_dict(payload["result"])
-                result.translation = payload.get("translation")
-                results[plan] = result
-                if payload.get("trace_hit"):
-                    self.events.emit(PlanTraceHit(
-                        plan=plan, index=indices[plan], total=total,
-                        key=plan.trace_fingerprint()))
-                if result.translation is not None:
-                    self.events.emit(PlanTranslationStats(
-                        plan=plan, index=indices[plan], total=total,
-                        stats=result.translation))
-                if self.cache is not None:
-                    if injecting:
-                        faults.set_context(plan=plan.describe(),
-                                           attempt=attempt, in_worker=False)
-                    self.cache.put(plan, result, seconds=seconds)
-                self.events.emit(PlanFinished(
-                    plan=plan, index=indices[plan], total=total,
-                    seconds=seconds, attempt=attempt))
-                return
-            retry, history = self._record_failure(
-                reports, plan, attempt, message, transient,
-                time.monotonic() - started, fault=fault, warm=warm)
-            self.events.emit(PlanFailed(
-                plan=plan, error=message, attempt=attempt,
-                will_retry=retry, history=history))
-            if retry:
+        def fail(plan, attempt, started, message, *, transient=True,
+                 fault=None, warm=None) -> None:
+            if self._attempt_failed(reports, failures, plan, attempt,
+                                    message, transient=transient,
+                                    started=started, fault=fault, warm=warm):
                 pending.append((plan, attempt + 1,
                                 time.monotonic() + self._backoff_delay(attempt)))
-            else:
-                failures[plan] = message
+
+        def kill(worker, message: str, *, strike: bool = False) -> None:
+            """Recycle a faulted worker; its current plan (if any) fails
+            transiently, and ``strike`` counts that toward degrading."""
+            nonlocal strikes
+            current, was_warm = worker["current"], worker["tasks"] > 0
+            recycle(worker, "fault", force=True)
+            if current is not None:
+                strikes += strike
+                plan, attempt, started, _beat = current
+                fail(plan, attempt, started, message, warm=was_warm)
 
         def pop_ready():
             now = time.monotonic()
@@ -905,6 +894,11 @@ class Executor:
                 if item[2] <= now:
                     return pending.pop(i)
             return None
+
+        # a persistent worker that died while idle is swept here rather
+        # than striking against this run
+        for worker in [w for w in workers if not w["proc"].is_alive()]:
+            recycle(worker, "fault", force=True)
 
         try:
             while pending or any(w["current"] is not None for w in workers):
@@ -957,70 +951,51 @@ class Executor:
                         worker["tasks"] += 1
                         self._merge_warm(msg.get("warm_stats"))
                         if msg.get("ok"):
-                            finish(plan, attempt, started, payload=msg)
+                            strikes = 0
+                            result = results[plan] = decode_result(msg)
+                            land_result(
+                                plan, result, events=self.events,
+                                cache=self.cache, index=indices[plan],
+                                total=total, seconds=msg.get("seconds", 0.0),
+                                attempt=attempt,
+                                trace_hit=bool(msg.get("trace_hit")))
                         else:
-                            finish(plan, attempt, started,
-                                   message=msg.get("error", "unknown error"),
-                                   transient=bool(msg.get("transient")),
-                                   fault=msg.get("fault"),
-                                   warm=msg.get("warm"))
+                            fail(plan, attempt, started,
+                                 msg.get("error", "unknown error"),
+                                 transient=bool(msg.get("transient")),
+                                 fault=msg.get("fault"), warm=msg.get("warm"))
                         if msg.get("poisoned"):
                             recycle(worker, "poisoned", force=True)
-                        elif (self.max_tasks_per_worker
-                              and worker["tasks"]
-                              >= self.max_tasks_per_worker):
+                        elif max_tasks and worker["tasks"] >= max_tasks:
                             recycle(worker, "max-tasks", force=False)
                         continue
                     if closed or not proc.is_alive():
-                        exitcode = proc.exitcode
-                        was_warm = worker["tasks"] > 0
-                        recycle(worker, "fault", force=True)
-                        if current is not None:
-                            plan, attempt, started, _beat = current
-                            strikes += 1
-                            finish(plan, attempt, started,
-                                   message=("worker pipe closed unexpectedly"
-                                            if closed else
-                                            f"worker died (exit code "
-                                            f"{exitcode})"),
-                                   transient=True, warm=was_warm)
+                        kill(worker, "worker pipe closed unexpectedly"
+                             if closed else
+                             f"worker died (exit code {proc.exitcode})",
+                             strike=True)
                         continue
                     if current is None:
                         continue
-                    plan, attempt, started, last_beat = current
+                    _plan, _attempt, started, last_beat = current
                     now = time.monotonic()
                     if (self.timeout is not None
                             and now - started > self.timeout):
-                        was_warm = worker["tasks"] > 0
-                        recycle(worker, "fault", force=True)
-                        finish(plan, attempt, started,
-                               message=f"timed out after {self.timeout:g}s",
-                               transient=True, warm=was_warm)
+                        kill(worker, f"timed out after {self.timeout:g}s")
                     elif (self.heartbeat is not None
                           and now - last_beat > self.heartbeat):
-                        was_warm = worker["tasks"] > 0
-                        recycle(worker, "fault", force=True)
-                        finish(plan, attempt, started,
-                               message=f"worker heartbeat lost (silent for "
-                                       f"> {self.heartbeat:g}s)",
-                               transient=True, warm=was_warm)
+                        kill(worker, f"worker heartbeat lost (silent for "
+                                     f"> {self.heartbeat:g}s)")
                 if strikes >= POOL_FAILURE_LIMIT:
                     degraded = True
                     orphans = [w["current"][0] for w in workers
                                if w["current"] is not None]
                     break
         finally:
-            if self.persistent and not degraded:
-                # Workers stay warm for the next run(); close() retires
-                # them. A degraded fleet is never kept.
-                pass
-            else:
-                for worker in list(workers):
-                    tasks, slot = worker["tasks"], worker["slot"]
-                    close_worker(worker, force=degraded)
-                    if tasks and not degraded:
-                        self.events.emit(WorkerRecycled(
-                            worker=slot, tasks=tasks, reason="shutdown"))
+            # A persistent fleet stays warm for the next run() (close()
+            # retires it); a degraded fleet is never kept.
+            if degraded or not self.persistent:
+                self._retire(workers, force=degraded)
 
         if degraded:
             # the pool itself is failing (not individual plans): run the
@@ -1033,173 +1008,5 @@ class Executor:
                 reason="consecutive worker deaths/pipe failures"))
             results.update(self._run_serial(
                 leftover, indices, total, failures, reports,
-                warm=self._warm_cache()))
-        return results
-
-    # -- legacy process-per-plan pool ------------------------------------
-
-    def _run_pool(self, todo, indices, total, failures, reports, jobs):
-        from repro.harness.experiments import ConfigResult
-
-        ctx = _mp_context()
-        # (plan, attempt, ready_at): backoff delays schedule retries
-        pending: list[tuple[ExperimentPlan, int, float]] = [
-            (plan, 1, 0.0) for plan in todo]
-        active = {}  # Process -> [plan, attempt, conn, started, last_beat]
-        results = {}
-        trace_root = (str(self.cache.traces.root)
-                      if self.cache is not None else None)
-        fault_doc = faults.export()
-        injecting = fault_doc is not None
-        strikes = 0       # consecutive pool-level failures
-        degraded = False
-
-        def finish(plan, attempt, started, message=None, transient=False,
-                   payload=None, fault=None):
-            nonlocal strikes
-            if payload is not None:
-                strikes = 0
-                seconds = payload.get("seconds", 0.0)
-                result = ConfigResult.from_dict(payload["result"])
-                result.translation = payload.get("translation")
-                results[plan] = result
-                if payload.get("trace_hit"):
-                    self.events.emit(PlanTraceHit(
-                        plan=plan, index=indices[plan], total=total,
-                        key=plan.trace_fingerprint()))
-                if result.translation is not None:
-                    self.events.emit(PlanTranslationStats(
-                        plan=plan, index=indices[plan], total=total,
-                        stats=result.translation))
-                if self.cache is not None:
-                    if injecting:
-                        faults.set_context(plan=plan.describe(),
-                                           attempt=attempt, in_worker=False)
-                    self.cache.put(plan, result, seconds=seconds)
-                self.events.emit(PlanFinished(
-                    plan=plan, index=indices[plan], total=total,
-                    seconds=seconds, attempt=attempt))
-                return
-            retry, history = self._record_failure(
-                reports, plan, attempt, message, transient,
-                time.monotonic() - started, fault=fault)
-            self.events.emit(PlanFailed(
-                plan=plan, error=message, attempt=attempt,
-                will_retry=retry, history=history))
-            if retry:
-                pending.append((plan, attempt + 1,
-                                time.monotonic() + self._backoff_delay(attempt)))
-            else:
-                failures[plan] = message
-
-        def reap(proc, conn):
-            proc.join()
-            del active[proc]
-            conn.close()
-
-        def pop_ready():
-            now = time.monotonic()
-            for i, item in enumerate(pending):
-                if item[2] <= now:
-                    return pending.pop(i)
-            return None
-
-        try:
-            while pending or active:
-                while pending and len(active) < jobs:
-                    item = pop_ready()
-                    if item is None:
-                        break  # retries still backing off
-                    plan, attempt, _ready = item
-                    parent_conn, child_conn = ctx.Pipe(duplex=False)
-                    proc = ctx.Process(
-                        target=_child_main,
-                        args=(child_conn, plan.to_dict(), trace_root,
-                              fault_doc, self.heartbeat, attempt),
-                        daemon=True,
-                    )
-                    self.events.emit(PlanStarted(
-                        plan=plan, index=indices[plan], total=total,
-                        attempt=attempt))
-                    proc.start()
-                    child_conn.close()
-                    now = time.monotonic()
-                    active[proc] = [plan, attempt, parent_conn, now, now]
-
-                time.sleep(_POLL_S)
-                for proc in list(active):
-                    plan, attempt, conn, started, last_beat = active[proc]
-                    final = False
-                    msg = None
-                    while conn.poll():
-                        try:
-                            received = conn.recv()
-                        except (EOFError, OSError):
-                            final = True
-                            msg = None
-                            break
-                        if isinstance(received, dict) and "hb" in received:
-                            active[proc][4] = time.monotonic()
-                            continue
-                        final = True
-                        msg = received
-                        break
-                    if final:
-                        reap(proc, conn)
-                        if msg is None:
-                            strikes += 1
-                            finish(plan, attempt, started,
-                                   message="worker pipe closed unexpectedly",
-                                   transient=True)
-                        elif msg.get("ok"):
-                            finish(plan, attempt, started, payload=msg)
-                        else:
-                            finish(plan, attempt, started,
-                                   message=msg.get("error", "unknown error"),
-                                   transient=bool(msg.get("transient")),
-                                   fault=msg.get("fault"))
-                    elif not proc.is_alive():
-                        exitcode = proc.exitcode
-                        reap(proc, conn)
-                        strikes += 1
-                        finish(plan, attempt, started,
-                               message=f"worker died (exit code {exitcode})",
-                               transient=True)
-                    elif (self.timeout is not None
-                          and time.monotonic() - started > self.timeout):
-                        proc.terminate()
-                        reap(proc, conn)
-                        finish(plan, attempt, started,
-                               message=f"timed out after {self.timeout:g}s",
-                               transient=True)
-                    elif (self.heartbeat is not None
-                          and time.monotonic() - last_beat > self.heartbeat):
-                        proc.terminate()
-                        reap(proc, conn)
-                        finish(plan, attempt, started,
-                               message=f"worker heartbeat lost (silent for "
-                                       f"> {self.heartbeat:g}s)",
-                               transient=True)
-                if strikes >= POOL_FAILURE_LIMIT:
-                    degraded = True
-                    break
-        finally:
-            for proc, (_plan, _attempt, conn, _started, _beat) in \
-                    active.items():
-                proc.terminate()
-                proc.join()
-                conn.close()
-
-        if degraded:
-            # the pool itself is failing (not individual plans): run the
-            # remainder in-process, where there is no pipe to break and
-            # no fork to die. Plans restart their attempt counters.
-            leftover = [plan for plan, _a, _r in pending]
-            leftover.extend(state[0] for state in active.values())
-            active.clear()
-            self.events.emit(ExecutorDegraded(
-                failures=strikes, remaining=len(leftover),
-                reason="consecutive worker deaths/pipe failures"))
-            results.update(self._run_serial(
-                leftover, indices, total, failures, reports))
+                warm=self._warm_cache() if self.warm_pool else None))
         return results

@@ -384,7 +384,6 @@ def run_suite(
     retries: int = 1,
     events=None,
     translate: bool = True,
-    warm_pool: bool = True,
     max_tasks_per_worker: int = 0,
 ) -> SuiteResult:
     """Run the full matrix. ``scale`` scales every workload's problem size
@@ -399,10 +398,9 @@ def run_suite(
     timeout), ``retries`` bounds re-attempts after transient failures,
     and ``events`` (an :class:`repro.harness.events.EventBus`) receives
     structured progress telemetry; ``verbose`` attaches a console
-    reporter to it. ``warm_pool=False`` restores the legacy
-    fresh-process-per-plan executor (the byte-identity baseline);
-    ``max_tasks_per_worker`` recycles warm workers after that many
-    tasks (0 = never).
+    reporter to it. Plans run on persistent warm workers;
+    ``max_tasks_per_worker`` recycles a worker after that many tasks
+    (0 = never).
     """
     from repro.harness.events import ConsoleReporter, EventBus
     from repro.harness.executor import Executor
@@ -412,7 +410,6 @@ def run_suite(
         bus.subscribe(ConsoleReporter())
     executor = Executor(jobs=jobs, cache=cache, events=bus, timeout=timeout,
                         heartbeat=heartbeat, retries=retries,
-                        warm_pool=warm_pool,
                         max_tasks_per_worker=max_tasks_per_worker)
     return executor.run_suite(
         scale,

@@ -10,8 +10,9 @@ hardens:
 ===================== =====================================================
 site                  checked by
 ===================== =====================================================
-``worker``            :func:`repro.harness.executor._child_main`, before
-                      the heartbeat thread starts (kinds: ``crash``,
+``worker``            :func:`repro.harness.executor._child_main`, the
+                      pool worker's per-task body, before the heartbeat
+                      gate opens — once per task (kinds: ``crash``,
                       ``hang``, ``transient``, ``error``)
 ``execute``           :func:`repro.harness.executor.execute_plan`, both
                       serial and worker paths (``transient``, ``error``,

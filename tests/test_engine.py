@@ -384,3 +384,20 @@ class TestCliSubcommands:
         rc, _out, err = self._run([], capsys)
         assert rc == 2
         assert "run|report|cache|fuzz" in err
+
+    def test_warm_pool_flags_removed(self, tmp_path, capsys, monkeypatch):
+        # warm workers are the only pool mode; the flags that toggled the
+        # fork-per-plan pool are unknown arguments, not a silent run
+        monkeypatch.setattr(
+            executor_mod, "execute_plan",
+            lambda plan, trace_store=None, warm_cache=None: make_result(plan))
+        for flag in ("--no-warm-pool", "--warm-pool"):
+            with pytest.raises(SystemExit) as exc:
+                self._run(["run", flag, "--scale", "0.02", "--workloads",
+                           "stream", "--skip-windowed", "--jobs", "1",
+                           "--cache-dir", str(tmp_path / "c"), "--quiet"],
+                          capsys)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"unrecognized arguments: {flag}" in err
+            assert "Traceback" not in err
