@@ -8,8 +8,8 @@ time, and knows how to build the matching engine/probe set — so the
 harness, the executor, the trace replayer and the fuzzer all consume the
 same description instead of re-interpreting kwargs.
 
-The legacy kwargs keep working for one release behind a
-``DeprecationWarning``; see :func:`repro.harness.experiments.run_config`.
+The legacy kwargs have been removed; ``run_config`` takes
+``analysis=AnalysisConfig(...)`` only.
 """
 
 from __future__ import annotations

@@ -31,6 +31,26 @@ instruction mix, and all windowed-CP sizes — in one pass:
   translation-invariant signature over the flush plus the state's own
   carried-over window tail replays all of that state's windows in the
   flush — hundreds of them for small windows — with one tuple hash.
+* in front of both sits a *phase table* for windows inside an
+  alias-free block run (the OSACA loop-kernel view: in a steady loop a
+  window's critical path is fixed by the loop body and where the window
+  starts in it). A run is a stretch of consecutive executions of one
+  block summary, merged across flushes, in which no cell read is ever a
+  cell written. A window starts with empty depths, so inside such a run
+  every load in the window reads depth 0 and every store is never read
+  back: the window's CP is the register-only CP of the block's
+  instruction sequence rotated to the window's start. That is fixed by
+  ``(summary id, phase = (start - run start) mod L, size)``, where ``L``
+  is the block length. A state's window starts advance by its slide, so
+  inside a run its phases repeat with period ``L / gcd(L, slide)``; once
+  one period is tabulated, all of the state's windows in a flush are
+  folded in O(period) with no signature and no O(size) key. Runs are
+  detected conservatively: per access slot of the block, the cell range
+  read (or written) over the run is ``[min, max]``, and the run is
+  alias-free only when every read range is disjoint from every write
+  range. A rejected run, a window straddling a run boundary, a SoA
+  segment, a spanning flush and the per-retirement ``on_batch`` stream
+  all take the memo paths above unchanged.
 
 Results are exactly equal — field by field, including dict insertion
 order — to the legacy probes'; ``tests/test_fused_engine.py`` enforces
@@ -44,6 +64,9 @@ first retirement to the last.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from math import gcd
+from operator import sub
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -81,6 +104,13 @@ _MEMO_MAX_ITEMS = 4_000_000
 #: signature holds the state's carry (fewer than ``size`` items) and
 #: shares the flush content with the other states' signatures.
 _FLUSH_MEMO_MAX_ENTRIES = 64
+
+#: Serve windows inside alias-free block runs from the phase table.
+#: Results do not depend on it; tests switch it off to compare.
+_PHASE_TABLE = True
+
+#: Cached per-phase window periods before the cache is cleared.
+_PERIODS_MAX_ENTRIES = 4096
 
 
 #: Bump when the serialized shape of :class:`AnalysisResult` changes.
@@ -305,6 +335,17 @@ class FusedAnalysisEngine:
             (st.size, st.slide): {} for st in self._wstates}
         self.batch_memo_hits = 0
         self.batch_memo_misses = 0
+        #: Alias-free block runs, in item order: ``[start, end, summary
+        #: id, block length, slot ranges]`` (ranges ``None`` when the
+        #: block has no reads or no writes).
+        self._runs: list[list] = []
+        #: ``(summary id, size)`` -> per-phase window CP (``None`` until
+        #: some window at that phase inside a run has been computed).
+        self._phase_cps: dict = {}
+        #: ``(summary id, size, slide, first phase)`` -> one period of
+        #: window CPs with prefix sums, maxima and minima.
+        self._periods: dict = {}
+        self.window_phase_hits = 0
         self._count_cache: dict = {}
 
     # -- batch ingestion -------------------------------------------------
@@ -555,41 +596,139 @@ class FusedAnalysisEngine:
 
     @staticmethod
     def _cell_deltas(cells, prev):
-        out = []
-        append = out.append
-        for c in cells:
-            append(c - prev)
-            prev = c
-        return out
+        return list(map(sub, cells, [prev, *cells[:-1]]))
+
+    @staticmethod
+    def _slot_ranges(s, k, rcells, wcells):
+        """Per-slot ``(read min, read max, write min, write max)`` cells
+        over ``k`` executions of summary ``s`` at the start of a flush;
+        ``None`` when the block never both reads and writes (trivially
+        alias-free)."""
+        R = s.n_reads
+        W = s.n_writes
+        if not R or not W:
+            return None
+        rc = np.array(rcells[:k * R], dtype=np.int64).reshape(k, R)
+        wc = np.array(wcells[:k * W], dtype=np.int64).reshape(k, W)
+        return rc.min(0), rc.max(0), wc.min(0), wc.max(0)
+
+    @staticmethod
+    def _alias_free(ranges) -> bool:
+        """True when every read-slot range is disjoint from every
+        write-slot range."""
+        if ranges is None:
+            return True
+        rmin, rmax, wmin, wmax = ranges
+        return not ((rmin[:, None] <= wmax) & (wmin <= rmax[:, None])).any()
+
+    def _track_runs(self, summaries, events, rcells, wcells,
+                    item_base) -> list | None:
+        """Extend or start the alias-free block run holding the first
+        item of one non-spanning event flush, and return it.
+
+        The first window a state completes in a flush starts at or before
+        the flush's first item, so a run can serve a state only if it
+        holds that item. Runs are therefore started and extended only at
+        a flush's first event. The run ends where that event does unless
+        the flush holds nothing else, and the next flush extends it only
+        when it starts with the same block. A loop entered at a flush's
+        last event is picked up one flush later, which leaves the windows
+        straddling that flush boundary to the memos."""
+        runs = self._runs
+        # runs end in item order: drop those no window can reach any more
+        # (the last one may still be extended)
+        needed = min(st.next_start for st in self._wstates)
+        while len(runs) > 1 and runs[0][1] <= needed:
+            del runs[0]
+        bid = events[0]
+        if bid < 0:
+            return None
+        k = events[1]
+        s = summaries[bid]
+        ranges = self._slot_ranges(s, k, rcells, wcells)
+        run = runs[-1] if runs else None
+        if run is not None and run[1] == item_base and run[2] == bid:
+            merged = None if ranges is None else tuple(
+                f(a, b) for f, a, b in zip((np.minimum, np.maximum) * 2,
+                                           run[4], ranges))
+            if self._alias_free(merged):
+                run[1] += k * s.length
+                run[4] = merged
+                return run
+        if not self._alias_free(ranges):
+            return None
+        run = [item_base, item_base + k * s.length, bid, s.length, ranges]
+        runs.append(run)
+        return run
+
+    def _phase_fold(self, st: _WState, run: list, end: int) -> bool:
+        """Fold every window of ``st`` that ends by item ``end`` from the
+        phase table; False (nothing folded) unless all of them lie inside
+        ``run`` and one period of their phases is tabulated."""
+        size = st.size
+        slide = st.slide
+        first = st.next_start
+        start, stop, sid, L, _ = run
+        n = (end - size - first) // slide + 1
+        if first < start or first + (n - 1) * slide + size > stop:
+            return False
+        p0 = (first - start) % L
+        key = (sid, size, slide, p0)
+        period = self._periods.get(key)
+        if period is None:
+            tab = self._phase_cps.get((sid, size))
+            if tab is None:
+                return False
+            cps = [tab[(p0 + j * slide) % L]
+                   for j in range(L // gcd(L, slide))]
+            if None in cps:
+                return False
+            psum = [0, *accumulate(cps)]
+            pmax = [0, *accumulate(cps, max)]
+            pmin = [0, *accumulate(cps, min)]
+            if len(self._periods) >= _PERIODS_MAX_ENTRIES:
+                self._periods.clear()
+            period = self._periods[key] = (cps, psum, pmax, pmin)
+        cps, psum, pmax, pmin = period
+        P = len(cps)
+        q, rem = divmod(n, P)
+        top = P if q else rem
+        self._fold(st, n, q * psum[P] + psum[rem], pmax[top], pmin[top],
+                   (cps * q + cps[:rem]) if st.keep_cps else ())
+        self.window_phase_hits += n
+        return True
 
     def _window_flush(self, summaries, events, indices, count, read_ends,
                       write_ends, reads, writes) -> None:
         """Advance the window states over one non-spanning flush,
-        replaying each state's windows from its flush memo when it can.
+        answering each state's windows from the phase table or replaying
+        them from its flush memo when it can.
 
         The windows a state completes in this flush see only the items
         from its ``next_start`` on: its carry (buffered items it has not
-        consumed yet) followed by the flush. The state's signature pins
-        those items up to translating the cell streams: the flush content
-        (events plus SoA indices and ends fix every item's key; then the
-        flush's internal cell deltas), the carry's keys and internal cell
-        deltas, the flush's first delta when the carry has cells of that
-        kind (it links the carry's last cell to the flush's first; with
-        no such carry cell the flush's first cell is the stream's
-        translation base), and the read-to-write stream offset. A
-        window's CP is invariant under translating its cells, so equal
-        signatures imply an equal window-CP sequence, and the memo of the
-        state's ``(size, slide)`` replays it as one ``(cps, sum, max,
-        min)`` record. Per-retirement batches arrive as a flush holding
-        one SoA segment, so both paths share one signature family. When
-        every state replays, the flush's items are never materialized
-        beyond the still-unconsumed tail. A state none of whose windows
-        ends in the flush needs no lookup at all.
+        consumed yet) followed by the flush. When all of them lie inside
+        the alias-free run holding the flush's first item, the phase
+        table folds them (see the module docstring). Otherwise the
+        state's signature pins those items up to translating the cell
+        streams: the flush content (events plus SoA indices and ends fix
+        every item's key; then the flush's internal cell deltas), the
+        carry's keys and internal cell deltas, the flush's first delta
+        when the carry has cells of that kind (it links the carry's last
+        cell to the flush's first; with no such carry cell the flush's
+        first cell is the stream's translation base), and the
+        read-to-write stream offset. A window's CP is invariant under
+        translating its cells, so equal signatures imply an equal
+        window-CP sequence, and the memo of the state's ``(size, slide)``
+        replays it as one ``(cps, sum, max, min)`` record. Per-retirement
+        batches arrive as a flush holding one SoA segment, so both paths
+        share one signature family. When every state is answered, the
+        flush's items are never materialized beyond the still-unconsumed
+        tail. A state none of whose windows ends in the flush needs no
+        lookup at all.
         """
         rcells = [a >> 3 for a, _ in reads]
         wcells = [a >> 3 for a, _ in writes]
-        rdelta = self._cell_deltas(rcells, self._prev_rcell)
-        wdelta = self._cell_deltas(wcells, self._prev_wcell)
+        rdelta = wdelta = None
         rbuf = self._rcells
         wbuf = self._wcells
         rc_base = self._rc_base
@@ -601,14 +740,24 @@ class FusedAnalysisEngine:
         keys = self._keys
         rends = self._rends
         wends = self._wends
-        flush = (tuple(events), tuple(indices), tuple(read_ends),
-                 tuple(write_ends), tuple(rdelta[1:]), tuple(wdelta[1:]))
-        rlink = rdelta[0] if rcells else None
-        wlink = wdelta[0] if wcells else None
+        flush = None
         end = item_base + count
+        head = (self._track_runs(summaries, events, rcells, wcells,
+                                 item_base)
+                if summaries is not None and _PHASE_TABLE else None)
         for st in self._wstates:
             if st.next_start + st.size > end:
                 continue
+            if head is not None and self._phase_fold(st, head, end):
+                continue
+            if flush is None:
+                rdelta = self._cell_deltas(rcells, self._prev_rcell)
+                wdelta = self._cell_deltas(wcells, self._prev_wcell)
+                flush = (tuple(events), tuple(indices), tuple(read_ends),
+                         tuple(write_ends), tuple(rdelta[1:]),
+                         tuple(wdelta[1:]))
+                rlink = rdelta[0] if rcells else None
+                wlink = wdelta[0] if wcells else None
             ka = st.next_start - self._key_base
             crlo = (rends[ka - 1] if ka else rc_base) - rc_base
             cwlo = (wends[ka - 1] if ka else wc_base) - wc_base
@@ -635,7 +784,7 @@ class FusedAnalysisEngine:
                 self._apply_record(st, record)
 
         skip = min(st.next_start for st in self._wstates) - item_base
-        # with every state replayed past the pre-flush items, rebuild the
+        # with every state answered past the pre-flush items, rebuild the
         # buffers as exactly the unconsumed flush tail (extending with the
         # whole flush only to trim it later touches ~50x more items)
         tail = not pending and skip >= 0
@@ -649,13 +798,22 @@ class FusedAnalysisEngine:
             self._keys, self._rends, self._wends)
         if tail:
             self._rcells = rcells[pr:]
-            self._rdeltas = rdelta[pr:]
             self._wcells = wcells[pw:]
-            self._wdeltas = wdelta[pw:]
+            if rdelta is None:
+                self._rdeltas = self._cell_deltas(
+                    self._rcells, rcells[pr - 1] if pr else self._prev_rcell)
+                self._wdeltas = self._cell_deltas(
+                    self._wcells, wcells[pw - 1] if pw else self._prev_wcell)
+            else:
+                self._rdeltas = rdelta[pr:]
+                self._wdeltas = wdelta[pw:]
             self._key_base = item_base + skip
             self._rc_base = rtot + pr
             self._wc_base = wtot + pw
         else:
+            if rdelta is None:
+                rdelta = self._cell_deltas(rcells, self._prev_rcell)
+                wdelta = self._cell_deltas(wcells, self._prev_wcell)
             rbuf.extend(rcells)
             self._rdeltas.extend(rdelta)
             wbuf.extend(wcells)
@@ -675,19 +833,54 @@ class FusedAnalysisEngine:
 
     def _state_record(self, st: _WState) -> tuple:
         """``(cps, sum, max, min)`` of ``st``'s not yet consumed windows
-        that the buffered items complete, each CP from the window memo."""
+        that the buffered items complete. Windows inside an alias-free
+        run come from (and fill) the phase table; the rest come from the
+        window memo. Each run is tested once for the whole range."""
         size = st.size
+        slide = st.slide
+        first = st.next_start
         last = self._key_base + len(self._keys) - size
-        cps = tuple([self._window_cp_memo(start, size)
-                     for start in range(st.next_start, last + 1, st.slide)])
+        cps = []
+        memo_cp = self._window_cp_memo
+        inside = []
+        for run in reversed(self._runs):
+            if run[1] <= first:
+                break
+            inside.append(run)
+        for start, stop, sid, L, _ in reversed(inside):
+            # the lattice starts first + j*slide lying in [start, stop-size]
+            lo = first + max(0, -(-(start - first) // slide)) * slide
+            hi = min(last, stop - size)
+            if lo > hi:
+                continue
+            cps.extend([memo_cp(p, size) for p in range(first, lo, slide)])
+            tab = self._phase_cps.get((sid, size))
+            if tab is None:
+                tab = self._phase_cps[sid, size] = [None] * L
+            for p in range(lo, hi + 1, slide):
+                phase = (p - start) % L
+                cp = tab[phase]
+                if cp is None:
+                    cp = tab[phase] = memo_cp(p, size)
+                else:
+                    self.window_phase_hits += 1
+                cps.append(cp)
+            first = lo + ((hi - lo) // slide + 1) * slide
+        cps.extend([memo_cp(p, size) for p in range(first, last + 1, slide)])
+        cps = tuple(cps)
         return cps, sum(cps), max(cps, default=0), min(cps, default=0)
 
-    @staticmethod
-    def _apply_record(st: _WState, record: tuple) -> None:
-        """Fold a ``(cps, sum, max, min)`` record into ``st``'s result and
-        advance it past those windows."""
+    def _apply_record(self, st: _WState, record: tuple) -> None:
+        """Fold a ``(cps, sum, max, min)`` record into ``st``."""
         cps, total, mx, mn = record
-        n = len(cps)
+        self._fold(st, len(cps), total, mx, mn, cps)
+
+    @staticmethod
+    def _fold(st: _WState, n: int, total: int, mx: int, mn: int,
+              cps) -> None:
+        """Fold ``n`` consecutive windows (CP sum, max, min, and the CPs
+        themselves when kept) into ``st``'s result and advance it past
+        them."""
         if n:
             res = st.result
             res.count += n

@@ -570,7 +570,9 @@ def _cmd_run(args) -> int:
             if "flush_memo_hits" in translation:
                 flush_hits = translation["flush_memo_hits"]
                 window_hits = translation["window_memo_hits"]
-                print(f"windowed memo: {flush_hits} of "
+                print(f"windowed memo: "
+                      f"{translation.get('window_phase_hits', 0)} windows "
+                      f"from the phase table, {flush_hits} of "
                       f"{flush_hits + translation['flush_memo_misses']} "
                       f"window-state flushes replayed, "
                       f"{window_hits + translation['window_memo_misses']} "

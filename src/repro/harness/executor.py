@@ -58,6 +58,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import random
+import signal
 import threading
 import time
 from dataclasses import dataclass, field
@@ -406,7 +407,7 @@ def _pool_worker_main(task_conn, result_conn, trace_root: str | None = None,
                       fault_doc: dict | None = None,
                       heartbeat: float | None = None,
                       block_root: str | None = None,
-                      worker: int = 0) -> None:
+                      worker: int = 0, inherited: Sequence = ()) -> None:
     """Pool-worker entry point: run tasks from the queue until told to stop.
 
     One process, many plans: the :class:`WarmCache` built here outlives
@@ -415,7 +416,20 @@ def _pool_worker_main(task_conn, result_conn, trace_root: str | None = None,
     ``{"plan": doc, "attempt": n}`` and runs :func:`_child_main` on it.
     ``{"stop": True}`` (or queue EOF) retires it, and so does a poisoned
     warm cache. ``worker`` is the parent's slot number for this process.
+
+    ``inherited`` lists the parent-side pipe ends this process got
+    through fork: its own, and those of the live workers forked before
+    it. They are closed first, so that when the parent dies every
+    worker's task pipe reads EOF and the worker exits; SIGTERM goes back
+    to its default so that a handler inherited from the parent (the
+    serve daemon installs one) cannot keep a worker alive either.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    for conn in inherited:
+        try:
+            conn.close()
+        except OSError:
+            pass
     if fault_doc:
         faults.install(faults.FaultPlan.from_dict(fault_doc))
     state = _WorkerState(result_conn, trace_root, heartbeat, block_root)
@@ -847,10 +861,14 @@ class Executor:
         def spawn() -> dict:
             task_recv, task_send = ctx.Pipe(duplex=False)
             res_recv, res_send = ctx.Pipe(duplex=False)
+            inherited = [task_send, res_recv]
+            for other in workers:
+                inherited += (other["task"], other["res"])
             proc = ctx.Process(
                 target=_pool_worker_main,
                 args=(task_recv, res_send, trace_root, fault_doc,
-                      self.heartbeat, block_root, self._pool_next_slot),
+                      self.heartbeat, block_root, self._pool_next_slot,
+                      inherited),
                 daemon=True,
             )
             proc.start()

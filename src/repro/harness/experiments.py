@@ -25,7 +25,6 @@ re-simulating the whole matrix each.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro.analysis import (
@@ -175,49 +174,6 @@ class SuiteResult:
         return self.configs[(workload, isa, profile)]
 
 
-#: Literal defaults of the deprecated per-kwarg analysis parameters on
-#: :func:`run_config`; a value differing from these counts as "caller
-#: used the legacy surface".
-_LEGACY_ANALYSIS_DEFAULTS = {
-    "engine": "fused",
-    "windowed": False,
-    "window_sizes": PAPER_WINDOW_SIZES,
-    "slide_fraction": 0.5,
-}
-
-
-def _resolve_analysis(analysis, engine, windowed, window_sizes,
-                      slide_fraction) -> AnalysisConfig:
-    """Fold :func:`run_config`'s deprecated loose kwargs into one
-    :class:`AnalysisConfig`, warning when the legacy surface is used and
-    refusing a mix of both surfaces."""
-    legacy = {
-        "engine": engine,
-        "windowed": windowed,
-        "window_sizes": tuple(window_sizes),
-        "slide_fraction": slide_fraction,
-    }
-    changed = sorted(
-        k for k, v in legacy.items() if v != _LEGACY_ANALYSIS_DEFAULTS[k]
-    )
-    if analysis is not None:
-        if changed:
-            raise ExperimentError(
-                "pass analysis parameters via analysis=AnalysisConfig(...) "
-                "or via the legacy kwargs, not both "
-                f"(legacy kwargs set: {', '.join(changed)})"
-            )
-        return analysis
-    if changed:
-        warnings.warn(
-            "the engine=/windowed=/window_sizes=/slide_fraction= kwargs of "
-            "run_config are deprecated and will be removed in the next "
-            "release; pass analysis=AnalysisConfig(...) instead",
-            DeprecationWarning, stacklevel=3,
-        )
-    return AnalysisConfig(**legacy)
-
-
 def _run_fused_config(workload, isa, profile, compiled, cfg, model,
                       max_instructions, trace_writer, translate):
     engine = cfg.build_engine(regions=compiled.image.regions, model=model)
@@ -241,6 +197,7 @@ def _run_fused_config(workload, isa, profile, compiled, cfg, model,
             "window_memo_misses": engine.memo_misses,
             "flush_memo_hits": engine.batch_memo_hits,
             "flush_memo_misses": engine.batch_memo_misses,
+            "window_phase_hits": engine.window_phase_hits,
         }
     return ConfigResult.from_analysis(
         workload.name, isa, profile, engine.results(),
@@ -283,12 +240,8 @@ def run_config(
     profile: str,
     *,
     analysis: AnalysisConfig | None = None,
-    windowed: bool = False,
-    window_sizes: tuple[int, ...] = PAPER_WINDOW_SIZES,
-    slide_fraction: float = 0.5,
     models: dict[str, str | CoreModel] | None = None,
     max_instructions: int = 500_000_000,
-    engine: str = "fused",
     trace_writer=None,
     translate: bool = True,
     compiled=None,
@@ -309,17 +262,15 @@ def run_config(
     With ``check_invariants`` set, the *other* engine runs on the same
     binary afterwards and the results must match exactly.
 
-    The loose ``engine=``/``windowed=``/``window_sizes=``/
-    ``slide_fraction=`` kwargs are deprecated (one release behind a
-    ``DeprecationWarning``) — pass ``analysis=`` instead.
+    Without ``analysis`` the default :class:`AnalysisConfig` applies (the
+    fused engine, no windowed analysis).
 
     ``trace_writer`` (fused only) records the retirement stream
     alongside the analysis — the trace level of the two-level result
     cache. ``translate=False`` forces per-instruction interpretation
     (identical results; the translated path's differential oracle).
     """
-    cfg = _resolve_analysis(analysis, engine, windowed, window_sizes,
-                            slide_fraction)
+    cfg = analysis if analysis is not None else AnalysisConfig()
     if trace_writer is not None and cfg.engine != "fused":
         raise ExperimentError(
             "trace recording requires the fused (batched) engine"

@@ -299,10 +299,13 @@ def _decode_cond_select(word: int, pc: int) -> DecodedInst:
     mnemonic = ("csel", "csinc", "csinv", "csneg")[(op << 1) | op2]
     table = condition_table(cond)
 
-    # the selected rn is copied as is; only the rm alternative is masked
+    # a W destination is zero-extended, so both W arms are masked; an X
+    # select copies rn as is and masks only the rm alternative
     if rd == ZR_SLOT:
         def execute(m):
             pass
+    elif not is64:
+        execute = _cond_select_w(mnemonic, rd, rn, rm, table)
     elif mnemonic == "csel":
         def execute(m, rd=rd, rn=rn, rm=rm, table=table):
             m.r[rd] = m.r[rn] if (table >> m.nzcv) & 1 else m.r[rm]
@@ -331,6 +334,26 @@ def _decode_cond_select(word: int, pc: int) -> DecodedInst:
         pc, word, mnemonic, text, _G.INT_SIMPLE,
         gp_deps(rn, rm) + (DEP_NZCV,), gp_deps(rd), execute,
     )
+
+
+def _cond_select_w(mnemonic: str, rd: int, rn: int, rm: int, table: int):
+    """Execute body of a W-form conditional select."""
+    if mnemonic == "csel":
+        def execute(m, rd=rd, rn=rn, rm=rm, table=table, mask=MASK32):
+            m.r[rd] = (m.r[rn] if (table >> m.nzcv) & 1 else m.r[rm]) & mask
+    elif mnemonic == "csinc":
+        def execute(m, rd=rd, rn=rn, rm=rm, table=table, mask=MASK32):
+            m.r[rd] = (m.r[rn] if (table >> m.nzcv) & 1
+                       else m.r[rm] + 1) & mask
+    elif mnemonic == "csinv":
+        def execute(m, rd=rd, rn=rn, rm=rm, table=table, mask=MASK32):
+            m.r[rd] = (m.r[rn] if (table >> m.nzcv) & 1
+                       else ~m.r[rm]) & mask
+    else:
+        def execute(m, rd=rd, rn=rn, rm=rm, table=table, mask=MASK32):
+            m.r[rd] = (m.r[rn] if (table >> m.nzcv) & 1
+                       else -m.r[rm]) & mask
+    return execute
 
 
 def _decode_dp1(word: int, pc: int) -> DecodedInst:

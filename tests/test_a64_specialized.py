@@ -136,8 +136,8 @@ class TestConditions:
         op, op2 = variant
         mask = MASK64 if sf else MASK32
         inst = aarch64.decode(enc.cond_select(sf, op, op2, 0, 1, 2, cond), PC)
-        # W operands carry no upper bits: that case is a known gap in
-        # the zero extension of W selects, not a condition-test question
+        # W operands carry no upper bits here; the zero extension of W
+        # selects is checked by test_w_cond_select_zero_extends
         operands = [(a & mask, b & mask)
                     for a, b in [(7, MASK64), (MASK32, 0), (1 << 63, 1)]]
         for nzcv in range(16):
@@ -147,6 +147,23 @@ class TestConditions:
                 expected = (a if condition_holds(cond, nzcv)
                             else _ALTERNATIVES[variant](b, mask))
                 assert machine.r[0] == expected, (inst.text, nzcv)
+
+    @pytest.mark.parametrize("variant", sorted(_ALTERNATIVES),
+                             ids=["csel", "csinc", "csinv", "csneg"])
+    def test_w_cond_select_zero_extends(self, aarch64, cond, variant):
+        """A W destination is zero-extended whichever arm is selected,
+        also when the source registers carry upper bits."""
+        op, op2 = variant
+        inst = aarch64.decode(enc.cond_select(0, op, op2, 0, 1, 2, cond), PC)
+        operands = [(MASK64, MASK64), ((7 << 32) | 5, (9 << 40) | MASK32),
+                    (1 << 63, (1 << 32) | 1)]
+        for nzcv in range(16):
+            for a, b in operands:
+                machine = _machine([(1, a), (2, b)], nzcv=nzcv)
+                inst.execute(machine)
+                expected = (a & MASK32 if condition_holds(cond, nzcv)
+                            else _ALTERNATIVES[variant](b & MASK32, MASK32))
+                assert machine.r[0] == expected, (inst.text, nzcv, a, b)
 
     @pytest.mark.parametrize("ftype", [0, 1], ids=["s", "d"])
     def test_fcsel(self, aarch64, cond, ftype):

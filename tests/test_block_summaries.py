@@ -8,8 +8,8 @@ The tentpole invariants, stated as tests:
   (``event_batches > 0``), so this is not the SoA fallback vouching for
   itself;
 * the typed :class:`AnalysisConfig` surface replaces the loose kwargs —
-  legacy kwargs still work one release behind a ``DeprecationWarning``,
-  mixing both surfaces is an error — and the versioned result/cache
+  the legacy kwargs, removed after a release behind a
+  ``DeprecationWarning``, are rejected — and the versioned result/cache
   formats keep reading their previous layouts.
 """
 
@@ -29,7 +29,6 @@ from repro.analysis import (
     PathLengthProbe,
     WindowedCPProbe,
 )
-from repro.common.errors import ExperimentError
 from repro.harness.cache import ResultCache
 from repro.harness.experiments import ConfigResult, run_config
 from repro.harness.plan import ExperimentPlan
@@ -101,11 +100,17 @@ def test_translation_registers_summaries():
 
 # ------------------------------------------------ typed config surface
 
-def test_legacy_kwargs_warn():
+@pytest.mark.parametrize("kwargs", [
+    {"engine": "probes"}, {"windowed": True}, {"window_sizes": WINDOWS},
+    {"slide_fraction": 1.0},
+], ids=["engine", "windowed", "window_sizes", "slide_fraction"])
+def test_removed_legacy_kwargs_are_rejected(kwargs):
     workload = get_workload("stream", SCALE)
-    with pytest.warns(DeprecationWarning, match="AnalysisConfig"):
-        run_config(workload, "rv64", "gcc12", windowed=True,
-                   window_sizes=WINDOWS)
+    with pytest.raises(TypeError, match=next(iter(kwargs))):
+        run_config(workload, "rv64", "gcc12", **kwargs)
+    with pytest.raises(TypeError, match=next(iter(kwargs))):
+        run_config(workload, "rv64", "gcc12",
+                   analysis=AnalysisConfig(), **kwargs)
 
 
 def test_analysis_config_does_not_warn():
@@ -115,13 +120,6 @@ def test_analysis_config_does_not_warn():
         warnings.simplefilter("error", DeprecationWarning)
         result = run_config(workload, "rv64", "gcc12", analysis=cfg)
     assert result.windowed is not None and set(result.windowed) == set(WINDOWS)
-
-
-def test_mixing_surfaces_is_an_error():
-    workload = get_workload("stream", SCALE)
-    with pytest.raises(ExperimentError, match="not both"):
-        run_config(workload, "rv64", "gcc12",
-                   analysis=AnalysisConfig(), windowed=True)
 
 
 def test_analysis_config_validates():

@@ -122,12 +122,14 @@ class TestResultSerialization:
 
     def test_simulated_roundtrip_equality(self):
         """End-to-end: a real simulated result survives the JSON trip."""
+        from repro.analysis import AnalysisConfig
         from repro.harness.experiments import run_config
         from repro.workloads.stream import Stream, StreamParams
 
         wl = Stream(StreamParams(n=32, ntimes=1))
-        result = run_config(wl, "rv64", "gcc12", windowed=True,
-                            window_sizes=(8,))
+        result = run_config(wl, "rv64", "gcc12",
+                            analysis=AnalysisConfig(windowed=True,
+                                                    window_sizes=(8,)))
         doc = json.loads(json.dumps(result.to_dict()))
         assert ConfigResult.from_dict(doc) == result
 

@@ -18,6 +18,7 @@ import random
 import pytest
 
 from repro.analysis import (
+    AnalysisConfig,
     CriticalPathProbe,
     FusedAnalysisEngine,
     InstructionMixProbe,
@@ -93,24 +94,30 @@ def _fused(compiled, model, window_sizes=WINDOWS, extra_sinks=()):
 def test_fused_matches_probes_on_workload(name):
     workload = get_workload(name, SCALE)
     for isa in ("aarch64", "rv64"):
-        oracle = run_config(workload, isa, "gcc12", windowed=True,
-                            window_sizes=WINDOWS, engine="probes")
-        fused = run_config(workload, isa, "gcc12", windowed=True,
-                           window_sizes=WINDOWS, engine="fused")
+        oracle = run_config(workload, isa, "gcc12",
+                            analysis=AnalysisConfig(engine="probes",
+                                                    windowed=True,
+                                                    window_sizes=WINDOWS))
+        fused = run_config(workload, isa, "gcc12",
+                           analysis=AnalysisConfig(engine="fused",
+                                                   windowed=True,
+                                                   window_sizes=WINDOWS))
         assert fused.to_dict() == oracle.to_dict()
 
 
 def test_unknown_engine_rejected():
     workload = get_workload("stream", SCALE)
     with pytest.raises(Exception, match="unknown analysis engine"):
-        run_config(workload, "rv64", "gcc12", engine="simd")
+        run_config(workload, "rv64", "gcc12",
+                   analysis=AnalysisConfig(engine="simd"))
 
 
 def test_fused_is_the_default_engine():
     # the tier-1 smoke check the ISSUE asks for: run_config defaults to
     # the fused engine, so the whole harness rides the fast path
     sig = inspect.signature(run_config)
-    assert sig.parameters["engine"].default == "fused"
+    assert sig.parameters["analysis"].default is None
+    assert AnalysisConfig().engine == "fused"
 
 
 # ------------------------------------------------- randomized differential
@@ -177,8 +184,9 @@ def _build_suite(engine: str) -> SuiteResult:
                            window_sizes=WINDOWS):
         workload = get_workload(plan.workload, plan.scale)
         suite.configs[plan.config_key] = run_config(
-            workload, plan.isa, plan.profile, windowed=plan.windowed,
-            window_sizes=plan.window_sizes, engine=engine,
+            workload, plan.isa, plan.profile,
+            analysis=AnalysisConfig(engine=engine, windowed=plan.windowed,
+                                    window_sizes=plan.window_sizes),
         )
     return suite
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import AnalysisConfig
 from repro.harness import (
     run_figure1,
     run_figure2,
@@ -119,8 +120,10 @@ class TestFigure2:
 class TestRunConfig:
     def test_custom_window_slide(self):
         wl = Stream(StreamParams(n=32, ntimes=1))
-        config = run_config(wl, "rv64", "gcc12", windowed=True,
-                            window_sizes=(8,), slide_fraction=1.0)
+        config = run_config(wl, "rv64", "gcc12",
+                            analysis=AnalysisConfig(windowed=True,
+                                                    window_sizes=(8,),
+                                                    slide_fraction=1.0))
         assert config.windowed[8].count >= 1
 
     def test_custom_model(self):
