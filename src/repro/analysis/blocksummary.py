@@ -25,9 +25,19 @@ so stitching a block execution costs a handful of local-variable ops per
 instruction instead of the interpreter-style scan in
 ``FusedAnalysisEngine._cp_batch``. Results are exactly equal to the
 per-retirement path; the differential tests enforce it.
+
+Each summary also compiles a *vector* stitch function for the same
+configuration when the block qualifies: for an alias-free event (no
+cell both read and written, every write slot striding through distinct
+cells, no access spanning two cells) it advances the chains over all
+``k`` executions with numpy, one array step per instruction, plain and
+scaled depths stacked as two rows (see :func:`_cpv_source`). Cell depths
+live in the engine's dense store, indexed directly by both functions.
 """
 
 from __future__ import annotations
+
+from operator import itemgetter
 
 from repro.analysis.critpath import _MEM_BASE, mem_cells
 
@@ -45,7 +55,7 @@ _CP_CODE_CACHE: dict = {}
 #: Bump whenever the generated chain-stitch source shape changes; part
 #: of the persistent block-cache key (stale on-disk sources orphan
 #: instead of preloading).
-SUMMARY_VERSION = 1
+SUMMARY_VERSION = 2
 
 #: Chain-stitch compile-cache telemetry (mirrors
 #: :data:`repro.sim.blocks._CODE_STATS`).
@@ -170,6 +180,31 @@ class BlockSummary:
             self._cp_fns[key] = fn
         return fn
 
+    def cp_vec_fn(self, weights: tuple, break_on_zero: bool):
+        """The vector chain-stitch function for this latency
+        configuration, or None when the block does not qualify (see
+        :func:`_cpv_source`).
+
+        Signature of the returned function::
+
+            fn(k, reads, writes, r, w, rp, rs, st, bp, bs)
+                -> (best_plain, best_scaled) or None
+
+        ``st`` is the engine's ``(2, cells)`` depth store (plain row,
+        scaled row). The function returns None, having changed nothing,
+        unless the event is alias-free: no access spans a cell, every
+        write slot steps through distinct cells at a constant stride,
+        no two write slots share a cell and no cell read in the event
+        is written in it. The caller then takes :meth:`cp_fn`.
+        """
+        key = (weights, break_on_zero, "vec")
+        try:
+            return self._cp_fns[key]
+        except KeyError:
+            fn = self._cp_fns[key] = _compile_cpv_fn(self, weights,
+                                                     break_on_zero)
+            return fn
+
 
 def build_summary(insts, idxs, roffs, woffs, rsizes, wsizes) -> BlockSummary:
     """Factory kept trivial on purpose (one obvious construction site)."""
@@ -199,6 +234,32 @@ def _max_expr(target: str, terms: list[str], add) -> list[str]:
         lines.append(f"{target} += {add}")
         return lines
     return [f"{target} = max({', '.join(terms)}) + {add}"]
+
+
+def _dominated(deps, weights: tuple, break_on_zero: bool) -> list[bool]:
+    """Per instruction: never the per-iteration best.
+
+    An instruction whose result is read later in the same iteration
+    (before being overwritten) is strictly dominated there — the
+    consumer's depth is >= d_i + weight with every weight >= 1 — so only
+    undominated instructions are best candidates."""
+    n = len(deps)
+    dominated = [False] * n
+    if all(weights[g] >= 1 for _s, _d, g in deps):
+        for i in range(n):
+            dom = False
+            for t in deps[i][1]:
+                for j in range(i + 1, n):
+                    if t in deps[j][0] or (not break_on_zero
+                                           and t in deps[j][1]):
+                        dom = True
+                        break
+                    if t in deps[j][1]:  # overwritten before any read
+                        break
+                if dom:
+                    break
+            dominated[i] = dom
+    return dominated
 
 
 def _cp_source(summary: BlockSummary, weights: tuple,
@@ -234,9 +295,6 @@ def _cp_source(summary: BlockSummary, weights: tuple,
         return f"h{t}" if t in written else f"q{t}"
 
     head = ["sp = 0"]
-    if summary.n_reads:
-        head.append("mpg = mp.get")
-        head.append("msg = ms.get")
     for t in sorted(written):
         head.append(f"g{t} = rp[{t}]")
         head.append(f"h{t} = rs[{t}]")
@@ -244,27 +302,8 @@ def _cp_source(summary: BlockSummary, weights: tuple,
         head.append(f"p{t} = rp[{t}]")
         head.append(f"q{t} = rs[{t}]")
 
-    # per-iteration best: an instruction whose result is read later in
-    # the same iteration (before being overwritten) is strictly
-    # dominated there — the consumer's depth is >= d_i + weight with
-    # every weight >= 1 — so only undominated instructions are best
-    # candidates
     n = summary.length
-    dominated = [False] * n
-    if all(weights[g] >= 1 for _s, _d, g in deps):
-        for i in range(n):
-            dom = False
-            for t in deps[i][1]:
-                for j in range(i + 1, n):
-                    if t in deps[j][0] or (not break_on_zero
-                                           and t in deps[j][1]):
-                        dom = True
-                        break
-                    if t in deps[j][1]:  # overwritten before any read
-                        break
-                if dom:
-                    break
-            dominated[i] = dom
+    dominated = _dominated(deps, weights, break_on_zero)
 
     body: list[str] = []
     ri = 0
@@ -282,8 +321,8 @@ def _cp_source(summary: BlockSummary, weights: tuple,
             size = rsizes[ri]
             body.append(f"a{ri} = reads[r + {ri}][0]")
             body.append(f"c{ri} = (a{ri} >> 3) + {_MEM_BASE}")
-            body.append(f"t{ri} = mpg(c{ri}, 0)")
-            body.append(f"u{ri} = msg(c{ri}, 0)")
+            body.append(f"t{ri} = mp[c{ri}]")
+            body.append(f"u{ri} = ms[c{ri}]")
             if size > 8:
                 guard = None  # always spans
             elif size > 1:
@@ -297,9 +336,9 @@ def _cp_source(summary: BlockSummary, weights: tuple,
                     pre = "    "
                 body.append(f"{pre}sp = 1")
                 body.append(f"{pre}for _c in _mc(a{ri}, {size})[1:]:")
-                body.append(f"{pre}    _v = mpg(_c, 0)")
+                body.append(f"{pre}    _v = mp[_c]")
                 body.append(f"{pre}    if _v > t{ri}: t{ri} = _v")
-                body.append(f"{pre}    _v = msg(_c, 0)")
+                body.append(f"{pre}    _v = ms[_c]")
                 body.append(f"{pre}    if _v > u{ri}: u{ri} = _v")
             terms_p.append(f"t{ri}")
             terms_s.append(f"u{ri}")
@@ -383,9 +422,362 @@ def _cp_source(summary: BlockSummary, weights: tuple,
     return "\n".join(lines)
 
 
-def _compile_cp_fn(summary: BlockSummary, weights: tuple,
-                   break_on_zero: bool):
-    source = _cp_source(summary, weights, break_on_zero)
+# ----------------------------------------------- vector stitch codegen
+
+def _merge(offs: dict, t: int, plain: int, scaled: int) -> None:
+    """Longest-path merge of one carried-input offset pair."""
+    old = offs.get(t)
+    if old is None:
+        offs[t] = (plain, scaled)
+    else:
+        offs[t] = (max(old[0], plain), max(old[1], scaled))
+
+
+def _vec_max(target: str, terms: list[str], const: str) -> str:
+    """``target = max(terms) + const`` over (2, k) depth arrays."""
+    if not terms:
+        return f"{target} = {const}"
+    expr = terms[0]
+    for t in terms[1:]:
+        expr = f"_mx({expr}, {t})"
+    return f"{target} = {expr} + {const}"
+
+
+def _cpv_source(summary: BlockSummary, weights: tuple,
+                break_on_zero: bool) -> str | None:
+    """Generate the vector chain-stitch source for one block summary, or
+    None when the summary does not qualify.
+
+    The function advances the chains over ``k`` executions of the block
+    with one numpy step per instruction, plain and scaled depths stacked
+    as the rows of ``(2, k)`` arrays (column ``j`` is execution ``j``).
+    It returns None, having changed nothing, unless the event is
+    alias-free (see :meth:`BlockSummary.cp_vec_fn`); then every load
+    reads a depth stored before the event, so all loads are gathered up
+    front, and no store is read back or overwritten, so all stores are
+    scattered at the end.
+
+    Registers are the only chains from one execution to the next. A
+    *carried* register is one the block reads before it writes it. The
+    summary qualifies when the carried registers can be ordered so that
+    the last write of each, ``t``, depends inside one execution only on
+    ``t`` itself and on registers earlier in the order (a register swap
+    cannot be ordered; an accumulator fed by a load whose address is an
+    induction variable comes after that variable). Solved in that order,
+    ``t``'s value after execution ``j`` is
+    ``x[j+1] = max(x[j] + o, c[j])``: ``o`` is the longest path from
+    ``t``'s incoming value to its last write (a constant of the block)
+    and ``c[j]`` that write's depth with ``t``'s input at 0 and the
+    earlier registers' inputs known (exact: depths are >= 0, so a 0
+    input adds ``o`` itself, which ``x[j] + o`` covers). Unrolled,
+    ``x[j+1] = (j+1)*o + max(x[0], max_{i<=j}(c[i] - (i+1)*o))``, one
+    ``np.maximum.accumulate``. This is the max-plus form of OSACA's
+    loop-kernel critical path (Laukemann et al., arXiv:1910.00214): the
+    chain within one iteration plus the loop-carried dependence. The
+    second pass then evaluates the rest of the block over all
+    executions at once.
+
+    Names in the generated code: ``a{t}``/``p{t}`` carried/invariant
+    register inputs (``(2, 1)``), ``x{t}`` carried inputs per execution,
+    ``X{t}`` a carried register after each execution, ``v{i}`` the i-th
+    instruction's depths with the register being solved at 0, ``d{i}``
+    its final depths, ``g{q}`` the q-th load's gathered depths, and
+    ``r{q}``/``w{q}`` the q-th read/write slot's cells (see
+    :func:`_slot_cells`).
+    """
+    if not break_on_zero:
+        return None
+    rsizes = summary.rsizes
+    wsizes = summary.wsizes
+    if any(z > 8 for z in rsizes) or any(z > 8 for z in wsizes):
+        return None  # such an access always spans two cells
+    deps = summary.deps
+    n = summary.length
+    R = summary.n_reads
+    W = summary.n_writes
+
+    written: set[int] = set()
+    for _s, dsts, _g in deps:
+        written.update(dsts)
+    # per instruction: dependence terms, longest paths from each carried
+    # input, whether a load of the same execution feeds it, write slots
+    terms: list[list] = []
+    offs: list[dict] = []
+    loaded: list[bool] = []
+    wslots: list[range] = []
+    prod: dict[int, int] = {}
+    carried: set[int] = set()
+    invariant: set[int] = set()
+    ri = wi = 0
+    for i, (srcs, dsts, g) in enumerate(deps):
+        wt = weights[g]
+        tl: list = []
+        off: dict = {}
+        ld = False
+        seen: set[int] = set()
+        for s in srcs:
+            if s in seen:
+                continue
+            seen.add(s)
+            if s in prod:
+                j = prod[s]
+                tl.append(("i", j))
+                for t, (a, b) in offs[j].items():
+                    _merge(off, t, a + 1, b + wt)
+                ld = ld or loaded[j]
+            elif s in written:
+                carried.add(s)
+                tl.append(("x", s))
+                _merge(off, s, 1, wt)
+            else:
+                invariant.add(s)
+                tl.append(("p", s))
+        for _ in range(summary.rcounts[i]):
+            tl.append(("m", ri))
+            ri += 1
+            ld = True
+        wslots.append(range(wi, wi + summary.wcounts[i]))
+        wi += summary.wcounts[i]
+        for t in dsts:
+            prod[t] = i
+        terms.append(tl)
+        offs.append(off)
+        loaded.append(ld)
+    last = prod  # register -> the block's last write of it
+    # solve the carried registers in an order where each last write
+    # depends only on registers solved before it (and on itself)
+    order: list[int] = []
+    pending = {t: set(offs[last[t]]) - {t} for t in carried}
+    while pending:
+        ready = sorted(t for t, need in pending.items()
+                       if need <= set(order))
+        if not ready:
+            return None  # carried registers feed each other
+        order.extend(ready)
+        for t in ready:
+            del pending[t]
+
+    consts: dict[str, str] = {}
+
+    def const(plain: int, scaled: int) -> str:
+        name = f"_K{plain}_{scaled}"
+        consts[name] = (f"{name} = _np.array((({plain},), ({scaled},)), "
+                        f"dtype=_np.int64)")
+        return name
+
+    # self-dependent last writes take the closed form's values
+    subst = {last[t]: t for t in carried if t in offs[last[t]]}
+
+    def val(i: int) -> str:
+        return f"X{subst[i]}" if i in subst else f"d{i}"
+
+    # first pass, one carried register at a time: the cone of its last
+    # write. An instruction whose carried inputs are all solved already
+    # gets its final depth ``d{i}``; one that depends on the register
+    # being solved is evaluated with that input at 0 (``v{i}``)
+    final: set[int] = set()
+    solved: set[int] = set()
+    plan: list[tuple] = []  # (register, [(instruction, final?)])
+    for t in order:
+        cone: set[int] = set()
+        stack = [last[t]]
+        while stack:
+            i = stack.pop()
+            if (i not in cone and i not in final
+                    and subst.get(i) not in solved):
+                cone.add(i)
+                stack.extend(j for kind, j in terms[i] if kind == "i")
+        steps = []
+        for i in sorted(cone):
+            done = t not in offs[i]
+            if done:
+                final.add(i)
+            steps.append((i, done))
+        plan.append((t, steps))
+        solved.add(t)
+
+    # second pass: what the best, the stores and the final registers need
+    dominated = _dominated(deps, weights, break_on_zero)
+    mark = {i for i in range(n) if not dominated[i] or wslots[i]}
+    mark.update(last.values())
+    live: set[int] = set()
+    for i in reversed(range(n)):
+        if i not in mark or i in final or i in subst:
+            continue
+        live.add(i)
+        mark.update(j for kind, j in terms[i] if kind == "i")
+    # carried inputs per execution feed final depths and other
+    # registers' first-pass depths
+    need_x = {j for i in final | live for kind, j in terms[i] if kind == "x"}
+    for t, steps in plan:
+        need_x.update(j for i, done in steps if not done
+                      for kind, j in terms[i] if kind == "x" and j != t)
+
+    def varies(i: int, t: int | None) -> bool:
+        """Whether the depth differs between executions (else it is a
+        ``(2, 1)`` column), evaluated with ``t``'s input at 0."""
+        return loaded[i] or bool(set(offs[i]) - {t})
+
+    body: list[str] = []
+    # the event's cells, slot by slot, then the alias conditions
+    for kind, count, sizes, seq in (("r", R, rsizes, "reads"),
+                                    ("w", W, wsizes, "writes")):
+        for q in range(count):
+            lim = 8 - sizes[q] if sizes[q] > 1 else 7
+            body.append(f"{kind}{q} = _sc(list(map(_fst, {seq}[{kind} + {q}:"
+                        f"{kind} + k * {count}:{count}])), k, {lim})")
+            if kind == "r":
+                body.append(f"if r{q} is None: return None")
+            else:
+                # a write slot steps through distinct cells
+                body.append(f"if w{q} is None or (k > 1 and not w{q}[3]): "
+                            f"return None")
+    for q in range(W):
+        for p in range(q + 1, W):
+            body.append(f"if w{q}[0] <= w{p}[1] and w{p}[0] <= w{q}[1]: "
+                        f"return None")
+        for p in range(R):
+            body.append(f"if r{p}[0] <= w{q}[1] and w{q}[0] <= r{p}[1]: "
+                        f"return None")
+    for q in range(R):
+        body.append(f"g{q} = st[:, r{q}[2]]")
+    regs = sorted(carried) + sorted(invariant)
+    if regs:
+        row_p = "".join(f"rp[{t}], " for t in regs)
+        row_s = "".join(f"rs[{t}], " for t in regs)
+        body.append(f"_x = _arr((({row_p}), ({row_s})), _i64)")
+        for q, t in enumerate(regs):
+            prefix = "a" if t in carried else "p"
+            body.append(f"{prefix}{t} = _x[:, {q}:{q + 1}]")
+
+    def depth(i: int, t: int | None) -> tuple[str, list[str]]:
+        """Name and dependence terms of instruction ``i``: final, or in
+        the first pass of carried register ``t``."""
+        tl = []
+        for kind, j in terms[i]:
+            if kind == "i":
+                tl.append(f"v{j}" if t is not None and t in offs[j]
+                          else val(j))
+            elif kind == "x":
+                if j != t:
+                    tl.append(f"x{j}")
+            else:
+                tl.append(f"p{j}" if kind == "p" else f"g{j}")
+        return (f"d{i}" if t is None or t not in offs[i] else f"v{i}"), tl
+
+    oj_names: dict[tuple, str] = {}
+    for t, steps in plan:
+        li = last[t]
+        fixed = None  # the last write's first-pass depth, when constant
+        for i, done in steps:
+            name, tl = depth(i, None if done else t)
+            wt = weights[deps[i][2]]
+            body.append(_vec_max(name, tl, const(1, wt)))
+            if i == li and not tl:
+                fixed = (1, wt)
+        if li in subst:
+            o = offs[li][t]
+            oj = oj_names.get(o)
+            if oj is None:
+                oj = oj_names[o] = f"oj{len(oj_names)}"
+                body.append(f"{oj} = {const(*o)} * J[1:k + 1]")
+            if varies(li, t):
+                body.append(f"y = v{li} - {oj}")
+                body.append("_mx.accumulate(y, axis=1, out=y)")
+                body.append(f"X{t} = _mx(y, a{t}) + {oj}")
+            elif fixed is not None and fixed[0] <= o[0] and fixed[1] <= o[1]:
+                # c - o <= 0 <= x[0]: a plain induction step
+                body.append(f"X{t} = a{t} + {oj}")
+            else:
+                # c is the same every execution: the prefix max is its
+                # first term
+                body.append(f"X{t} = _mx(v{li} - {const(*o)}, a{t}) + {oj}")
+            prev = f"X{t}[:, :-1]"
+        elif varies(li, None):
+            prev = f"d{li}[:, :-1]"
+        else:
+            prev = f"_bc(d{li}, (2, k - 1))"
+        if t in need_x:
+            body.append(f"x{t} = _cat((a{t}, {prev}), axis=1)")
+    for i in sorted(live):
+        name, tl = depth(i, None)
+        body.append(_vec_max(name, tl, const(1, weights[deps[i][2]])))
+    for i in range(n):
+        for q in wslots[i]:
+            body.append(f"st[:, w{q}[2]] = {val(i)}")
+    cand = [val(i) for i in range(n) if not dominated[i]]
+    if len(cand) == 1:
+        body.append(f"_b = {cand[0]}.max(1).tolist()")
+    else:
+        body.append(f"_b = _cat(({', '.join(cand)}), axis=1)"
+                    f".max(1).tolist()")
+    body.append("if _b[0] > bp: bp = _b[0]")
+    body.append("if _b[1] > bs: bs = _b[1]")
+    fin = sorted(written)
+    if fin:
+        cols = "".join(f"{val(last[t])}[:, -1:], " for t in fin)
+        body.append(f"_f = _cat(({cols}), axis=1).tolist()")
+        for q, t in enumerate(fin):
+            body.append(f"rp[{t}] = _f[0][{q}]")
+            body.append(f"rs[{t}] = _f[1][{q}]")
+    body.append("return bp, bs")
+
+    lines = [consts[name] for name in sorted(consts)]
+    lines.append("def _cpv(k, reads, writes, r, w, rp, rs, st, bp, bs):")
+    if oj_names:
+        lines.append("    J = _ar(k)")
+    lines.extend("    " + line for line in body)
+    return "\n".join(lines)
+
+
+def _slot_cells(addrs: list, k: int, lim: int):
+    """The cells one access slot touches over ``k`` executions:
+    ``(lowest cell, highest cell, index, stride)``, or None when an
+    access spans two cells (an in-cell offset above ``lim``).
+
+    When the addresses step by a whole number of cells, ``index`` is a
+    slice of the store's cell axis and ``stride`` that number (0: one
+    cell every execution). Otherwise ``index`` is an array of cells and
+    ``stride`` None."""
+    a0 = addrs[0]
+    s = addrs[1] - a0 if k > 1 else 0
+    if not s & 7 and (addrs == list(range(a0, a0 + k * s, s)) if s
+                      else addrs.count(a0) == k):
+        if (a0 & 7) > lim:
+            return None
+        c = (a0 >> 3) + _MEM_BASE
+        s >>= 3
+        e = c + s * (k - 1)
+        if s > 0:
+            return c, e, slice(c, e + 1, s), s
+        if s < 0:
+            return e, c, slice(c, e - 1, s), s
+        return c, c, [c] * k, 0
+    import numpy as np
+
+    a = np.array(addrs, dtype=np.int64)
+    if lim < 7 and ((a & 7) > lim).any():
+        return None
+    return ((min(addrs) >> 3) + _MEM_BASE, (max(addrs) >> 3) + _MEM_BASE,
+            (a >> 3) + _MEM_BASE, None)
+
+
+#: Shared ``arange`` for the vector stitch (grown on demand).
+_ARANGE = None
+
+
+def _arange(k: int):
+    """An int64 ``arange`` of at least ``k + 1`` entries."""
+    global _ARANGE
+    if _ARANGE is None or len(_ARANGE) <= k:
+        import numpy as np
+
+        _ARANGE = np.arange(max(2 * k + 2, 1024), dtype=np.int64)
+    return _ARANGE
+
+
+def _compile_source(source: str):
+    """The code object for a generated stitch source (cached by text)."""
     code = _CP_CODE_CACHE.get(source)
     if code is None:
         _CP_STATS["misses"] += 1
@@ -397,6 +789,29 @@ def _compile_cp_fn(summary: BlockSummary, weights: tuple,
             _CP_NEW_SOURCES.append(source)
     else:
         _CP_STATS["hits"] += 1
+    return code
+
+
+def _compile_cp_fn(summary: BlockSummary, weights: tuple,
+                   break_on_zero: bool):
+    code = _compile_source(_cp_source(summary, weights, break_on_zero))
     namespace = {"_mc": mem_cells}
     exec(code, namespace)  # noqa: S102
     return namespace["_cps"]
+
+
+def _compile_cpv_fn(summary: BlockSummary, weights: tuple,
+                    break_on_zero: bool):
+    source = _cpv_source(summary, weights, break_on_zero)
+    if source is None:
+        return None
+    import numpy as np
+
+    code = _compile_source(source)
+    namespace = {
+        "_np": np, "_mx": np.maximum, "_arr": np.array, "_i64": np.int64,
+        "_cat": np.concatenate, "_bc": np.broadcast_to,
+        "_fst": itemgetter(0), "_ar": _arange, "_sc": _slot_cells,
+    }
+    exec(code, namespace)  # noqa: S102
+    return namespace["_cpv"]

@@ -16,7 +16,14 @@ instruction mix, and all windowed-CP sizes — in one pass:
   table (static entries are created in first-retirement order, so the
   result dicts preserve the legacy probes' insertion order);
 * the plain and scaled critical paths share one loop over the batch —
-  one source scan updates both depth structures;
+  one source scan updates both depth structures. Memory-cell depths sit
+  in a dense store, one int64 per 8-byte guest cell and variant, in a
+  private anonymous ``mmap`` sized from the guest memory, so only the
+  pages of cells the run stores to become resident. A block event of at
+  least ``_VECTOR_MIN_K`` executions that reads no cell it writes is
+  stitched in one numpy step (gathered loads, the block evaluated over
+  all executions, carried registers solved in closed form, scattered
+  stores; see :func:`repro.analysis.blocksummary._cpv_source`);
 * windowed CPs are memoized: a window's critical path depends only on
   its sequence of (static entry, cell-count) items and the *relative*
   alias pattern of its memory cells, which loops repeat almost exactly.
@@ -63,6 +70,7 @@ first retirement to the last.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from itertools import accumulate
 from math import gcd
@@ -111,6 +119,19 @@ _PHASE_TABLE = True
 
 #: Cached per-phase window periods before the cache is cleared.
 _PERIODS_MAX_ENTRIES = 4096
+
+#: Stitch alias-free block events in one numpy step (see
+#: :meth:`repro.analysis.blocksummary.BlockSummary.cp_vec_fn`).
+#: Results do not depend on it; tests switch it off to compare.
+_VECTOR_STITCH = True
+
+#: Fewest executions a block event needs for the vector stitch: below
+#: it the generated scalar loop is cheaper than numpy's per-call cost.
+_VECTOR_MIN_K = 32
+
+#: Guest memory size assumed when no emulation core has bound one (a
+#: trace replay); every machine allocates this much.
+_DEFAULT_GUEST_BYTES = 1 << 24
 
 
 #: Bump when the serialized shape of :class:`AnalysisResult` changes.
@@ -302,8 +323,13 @@ class FusedAnalysisEngine:
         self._reg_s = [0] * NUM_DEP_REGS
         self._best_p = 0
         self._best_s = 0
-        self._mem_p: dict[int, int] = {}
-        self._mem_s: dict[int, int] = {}
+        #: Dense cell-depth store, allocated on first use: ``_store`` is
+        #: the ``(2, cells)`` numpy view (plain row, scaled row),
+        #: ``_mem_p``/``_mem_s`` its rows as memoryviews for scalar code.
+        self._store = None
+        self._mem_p = None
+        self._mem_s = None
+        self.cp_vector_insts = 0
 
         # windowed state: rolling item/cell buffers with global offsets
         self._wstates = [
@@ -348,6 +374,29 @@ class FusedAnalysisEngine:
         self.window_phase_hits = 0
         self._count_cache: dict = {}
 
+    # -- cell-depth store -----------------------------------------------
+
+    def bind_memory(self, size: int) -> None:
+        """Size the cell-depth store for a guest memory of ``size`` bytes
+        (the emulation core calls this before the first flush).
+
+        The store is a private anonymous ``mmap`` holding one int64 per
+        8-byte cell and CP variant, like the guest memory itself: the
+        kernel zero-fills pages on first touch, so only the pages of
+        cells the run stores to become resident."""
+        cells = _MEM_BASE + size // 8 + 2
+        old = self._store
+        if old is not None and old.shape[1] >= cells:
+            return
+        buf = mmap.mmap(-1, 2 * 8 * cells, flags=mmap.MAP_PRIVATE)
+        store = np.frombuffer(buf, dtype=np.int64).reshape(2, cells)
+        if old is not None:
+            store[:, : old.shape[1]] = old
+        flat = memoryview(buf).cast("q")
+        self._store = store
+        self._mem_p = flat[:cells]
+        self._mem_s = flat[cells:]
+
     # -- batch ingestion -------------------------------------------------
 
     def on_batch(self, table, count, indices, read_ends, write_ends,
@@ -355,6 +404,8 @@ class FusedAnalysisEngine:
         """Consume one retirement batch (see ``EmulationCore.run_batched``)."""
         if count == 0:
             return
+        if self._store is None:
+            self.bind_memory(_DEFAULT_GUEST_BYTES)
         self._ensure_meta(table)
         ti = tuple(indices)
         counts = self._count_cache.get(ti)
@@ -406,6 +457,8 @@ class FusedAnalysisEngine:
         differential tests enforce it."""
         if count == 0:
             return
+        if self._store is None:
+            self.bind_memory(_DEFAULT_GUEST_BYTES)
         self.event_batches += 1
         self._ensure_meta(table)
         self._summaries = summaries
@@ -424,8 +477,9 @@ class FusedAnalysisEngine:
         self._total += count
 
         # chain stitching: one walk over the events; block executions go
-        # through their compiled stitch functions, SoA segments through
-        # the generic batch scan with flush-absolute access cursors
+        # through their compiled stitch functions (one numpy step for a
+        # long alias-free event), SoA segments through the generic batch
+        # scan with flush-absolute access cursors
         be = self._block_exec
         wts = self._gw_key
         bz = self.break_on_zero
@@ -433,6 +487,8 @@ class FusedAnalysisEngine:
         reg_s = self._reg_s
         mem_p = self._mem_p
         mem_s = self._mem_s
+        store = self._store
+        vmin = _VECTOR_MIN_K if _VECTOR_STITCH else None
         windowed = bool(self._wstates)
         spanning = False
         r = 0
@@ -444,6 +500,17 @@ class FusedAnalysisEngine:
             if bid >= 0:
                 be[bid] = be.get(bid, 0) + k
                 s = summaries[bid]
+                if vmin is not None and k >= vmin:
+                    vfn = s.cp_vec_fn(wts, bz)
+                    if vfn is not None:
+                        best = vfn(k, reads, writes, r, w, reg_p, reg_s,
+                                   store, self._best_p, self._best_s)
+                        if best is not None:
+                            self._best_p, self._best_s = best
+                            self.cp_vector_insts += k * s.length
+                            r += k * s.n_reads
+                            w += k * s.n_writes
+                            continue
                 fn = s.cp_fn(wts, bz)
                 bp, bs, sp = fn(k, reads, writes, r, w, reg_p, reg_s,
                                 mem_p, mem_s, self._best_p, self._best_s)
@@ -505,8 +572,6 @@ class FusedAnalysisEngine:
         reg_s = self._reg_s
         mem_p = self._mem_p
         mem_s = self._mem_s
-        getp = mem_p.get
-        gets = mem_s.get
         best_p = self._best_p
         best_s = self._best_s
         bz = self.break_on_zero
@@ -525,18 +590,18 @@ class FusedAnalysisEngine:
                 addr, size = reads[r0]
                 r0 += 1
                 cell = _MEM_BASE + (addr >> 3)
-                v = getp(cell, 0)
+                v = mem_p[cell]
                 if v > dp:
                     dp = v
-                v = gets(cell, 0)
+                v = mem_s[cell]
                 if v > ds:
                     ds = v
                 if (addr & 7) + size > 8:
                     for extra in mem_cells(addr, size)[1:]:
-                        v = getp(extra, 0)
+                        v = mem_p[extra]
                         if v > dp:
                             dp = v
-                        v = gets(extra, 0)
+                        v = mem_s[extra]
                         if v > ds:
                             ds = v
             if not bz:

@@ -567,6 +567,11 @@ def _cmd_run(args) -> int:
                   f"{summary['translated_plans']} simulations, "
                   f"{pct:.1f}% of block instructions inlined",
                   file=sys.stderr)
+            if "cp_vector_insts" in translation:
+                print(f"critical path: "
+                      f"{translation['cp_vector_insts']} instructions "
+                      f"stitched in vector steps over alias-free block "
+                      f"runs", file=sys.stderr)
             if "flush_memo_hits" in translation:
                 flush_hits = translation["flush_memo_hits"]
                 window_hits = translation["window_memo_hits"]

@@ -188,9 +188,13 @@ def _run_fused_config(workload, isa, profile, compiled, cfg, model,
         translate=translate,
     )
     translation = run.result.translation
+    if translation is not None:
+        # the stitch and memo counters ride the telemetry-only
+        # translation dict, so the TimingCollector sums them like the
+        # block counters
+        translation = {**translation,
+                       "cp_vector_insts": engine.cp_vector_insts}
     if translation is not None and cfg.windowed:
-        # the memo counters ride the telemetry-only translation dict, so
-        # the TimingCollector sums them like the block counters
         translation = {
             **translation,
             "window_memo_hits": engine.memo_hits,

@@ -56,7 +56,8 @@ class BatchSink(Protocol):
     ``reads[read_ends[i-1]:read_ends[i]]``), and ``reads``/``writes`` are
     flat ``(addr, size)`` lists for the whole batch. All batch buffers
     are reused after the call returns; the table is shared and only ever
-    appended to.
+    appended to. A sink may also define ``bind_memory(size)``; the core
+    calls it with the guest memory size before the first batch.
     """
 
     needs_memory: bool
@@ -334,6 +335,11 @@ class EmulationCore:
             # flushes (windowed memo locality) must not be starved by a
             # throughput-hungry neighbor
             batch_size = min(prefs) if prefs else DEFAULT_BATCH_SIZE
+        for sink in sinks:
+            # sinks that keep per-cell state size it from the guest
+            bind = getattr(sink, "bind_memory", None)
+            if bind is not None:
+                bind(self.machine.memory.size)
         if self.translate:
             sinks = list(sinks)
             if sinks and all(getattr(s, "accepts_events", False)

@@ -32,6 +32,11 @@ come from the phase table (windows inside alias-free block runs), on
 both ISAs. The rest come from replayed flushes; the counts are
 deterministic, so they cannot flap.
 
+It guards the vector chain stitch the same way: on STREAM, at least
+``CP_VECTOR_MIN_SHARE`` of the retired instructions must be stitched in
+vector steps over alias-free block runs, on both ISAs (a count, not a
+timing).
+
 It then runs a fault-injection smoke: the 4-config STREAM matrix across
 a 2-worker pool with one injected worker crash — the resilient executor
 must retry the killed plan and complete the suite (docs/robustness.md).
@@ -119,6 +124,13 @@ WINDOW_LOOKUP_MAX_SHARE = 0.25
 #: sizes (95.8% on rv64 and 96.3% on aarch64 when it was introduced).
 #: Only windows straddling a loop boundary take the other paths.
 WINDOW_PHASE_MIN_SHARE = 0.90
+
+#: Instructions stitched in vector steps (alias-free block events of at
+#: least ``engine._VECTOR_MIN_K`` executions) must be at least this share
+#: of the instructions retired, on STREAM at ``SCALE`` without windows
+#: (99.9% on rv64 and on aarch64 when it was introduced; the loop
+#: entries and exits take the scalar stitch).
+CP_VECTOR_MIN_SHARE = 0.95
 
 #: Warm execution may cost at most this multiple of fresh execution —
 #: cache bookkeeping is cheap, so anything past a noise margin means
@@ -259,6 +271,30 @@ def _window_memo_guard(workload) -> int:
     print(f"OK: at most {WINDOW_LOOKUP_MAX_SHARE:.0%} of windows computed "
           f"one by one, at least {WINDOW_PHASE_MIN_SHARE:.0%} from the "
           f"phase table")
+    return 0
+
+
+def _cp_vector_guard(workload) -> int:
+    """Nearly every STREAM instruction must take the vector stitch."""
+    from repro.analysis import FusedAnalysisEngine
+
+    for isa_name in ("rv64", "aarch64"):
+        compiled = workload.compile(isa_name, "gcc12")
+        engine = FusedAnalysisEngine(regions=compiled.image.regions)
+        run_image(compiled.image, get_isa(compiled.isa_name),
+                  batch_sinks=[engine])
+        total = engine.results().path.total
+        share = engine.cp_vector_insts / total
+        print(f"cp stitch: {isa_name} stitched {engine.cp_vector_insts} of "
+              f"{total} instructions in vector steps ({share:.1%})")
+        if share < CP_VECTOR_MIN_SHARE:
+            print(f"FAIL: {share:.1%} of instructions stitched in vector "
+                  f"steps on {isa_name} (limit {CP_VECTOR_MIN_SHARE:.0%}) "
+                  f"— alias-free block events are no longer vectorized",
+                  file=sys.stderr)
+            return 1
+    print(f"OK: at least {CP_VECTOR_MIN_SHARE:.0%} of instructions "
+          f"stitched in vector steps")
     return 0
 
 
@@ -655,7 +691,8 @@ def main() -> int:
     print(f"OK: fused analysis within {ANALYZED_MAX_RATIO}x of raw "
           f"translation")
     return (_assemble_guard(compiled, isa)
-            or _window_memo_guard(workload) or _fault_smoke()
+            or _window_memo_guard(workload) or _cp_vector_guard(workload)
+            or _fault_smoke()
             or _warm_smoke())
 
 
