@@ -2,11 +2,15 @@
 
 The :class:`Dispatcher` owns the daemon side of the distributed tier:
 a plain-TCP listener that worker nodes (:mod:`repro.dist.worker`)
-register with, and a :meth:`run` entry point shaped exactly like
-:meth:`Executor.run <repro.harness.executor.Executor.run>` — same
-cache sweep, same event stream, same ``SuiteExecutionError`` contract
-— so the serve daemon swaps it in without the journal, SSE bridge or
-timing collector noticing.
+register with, one session and reader thread per node, and a
+:meth:`run` entry point shaped exactly like :meth:`Executor.run
+<repro.harness.executor.Executor.run>`. It schedules nothing itself:
+:meth:`run` hands the executor one *remote-lease slot* per leased node
+slot (:class:`_Leases`), and the executor's one supervision loop starts,
+polls, retries and lands them like its pool workers — same cache sweep,
+same event stream, same ``SuiteExecutionError`` contract — so the serve
+daemon swaps it in without the journal, SSE bridge or timing collector
+noticing.
 
 Correctness under failure rests on three invariants:
 
@@ -15,17 +19,18 @@ Correctness under failure rests on three invariants:
    *before* the task frame is sent. A crash between the two re-runs a
    plan, never loses one.
 2. **At-least-once dispatch, exactly-once account.** A lease that
-   expires — or whose node dies, hangs silent past its heartbeat
-   budget, or tears a frame — is re-dispatched (bounded attempts,
-   exponential backoff with seeded jitter, a different node when one
-   exists). Execution is idempotent (content-addressed caches on both
-   ends), so the *results* are deduplicated by plan fingerprint: the
-   first to land wins, every later replica is dropped and counted.
-   Artifacts are byte-identical no matter which replica lands.
+   expires (the slot's timeout) — or whose node dies, hangs silent past
+   its heartbeat budget (the slot's heartbeat), or tears a frame — is
+   re-dispatched (bounded attempts, exponential backoff with seeded
+   jitter, a different node when one exists). A plan holds at most one
+   open lease, so it lands once; a result whose lease is already
+   settled is a late replica, dropped by fingerprint and counted.
+   Execution is idempotent (content-addressed caches on both ends), so
+   artifacts are byte-identical no matter which replica lands.
 3. **Degrade, never fail.** Remote attempts exhausted by transient
-   infrastructure — or the last node dying — route the remaining
-   plans to the daemon's local warm pool (the wrapped executor). A
-   suite outlives the death of the entire remote tier; only
+   infrastructure — or the last node dying — pass the remaining plans
+   through the same loop again on the daemon's local slots, within the
+   same run. A suite outlives the death of the entire remote tier; only
    deterministic plan errors (which would fail locally too) fail it.
 """
 
@@ -39,16 +44,11 @@ import time
 from repro.common.errors import ExperimentError
 from repro.dist.protocol import Framed, ProtocolError
 from repro.harness import faults
-from repro.harness.events import (DistStats, EventBus, NodeJoined, NodeLost,
-                                  PlanCacheHit, PlanFailed, PlanRedispatched,
-                                  PlanStarted, SuiteFinished, SuiteStarted)
-from repro.harness.executor import (PlanFailureReport, SuiteExecutionError,
-                                    backoff_delay, decode_result, land_result,
-                                    record_attempt)
+from repro.harness.events import (DistStats, NodeJoined, NodeLost,
+                                  PlanRedispatched)
+from repro.harness.executor import _POLL_S, _Slots, backoff_delay
 
 __all__ = ["Dispatcher", "RemoteNode"]
-
-_POLL_S = 0.02
 
 
 class RemoteNode:
@@ -84,28 +84,14 @@ class RemoteNode:
         }
 
 
-class _Lease:
-    __slots__ = ("id", "plan", "fingerprint", "node", "attempt", "expires")
-
-    def __init__(self, id, plan, fingerprint, node, attempt, expires):
-        self.id = id
-        self.plan = plan
-        self.fingerprint = fingerprint
-        self.node = node
-        self.attempt = attempt
-        self.expires = expires
-
-
 class Dispatcher:
     """Scatter plans across registered worker nodes (see module doc).
 
     Args:
-        executor: the daemon's local (warm, persistent) executor —
-            the zero-nodes path and the degrade-never-fail target.
-        cache: result cache for the daemon-side sweep and write-back;
-            defaults to ``executor.cache``.
-        events: event bus; defaults to ``executor.events`` so both
-            tiers tell one story.
+        executor: the daemon's local (warm, persistent) executor. Its
+            loop drives the remote leases, its cache and event bus serve
+            both tiers, and its local slots are the zero-nodes path and
+            the degrade-never-fail target.
         lease_timeout: seconds a dispatched plan may stay unanswered
             before its lease expires and it is re-dispatched.
         node_heartbeat: silence budget for hang discrimination — a
@@ -117,10 +103,9 @@ class Dispatcher:
         backoff/backoff_cap: redispatch backoff curve (seeded jitter).
     """
 
-    def __init__(self, *, executor, cache=None, events: EventBus | None = None,
-                 lease_timeout: float = 60.0, node_heartbeat: float = 5.0,
-                 retries: int = 2, backoff: float = 0.05,
-                 backoff_cap: float = 1.0):
+    def __init__(self, *, executor, lease_timeout: float = 60.0,
+                 node_heartbeat: float = 5.0, retries: int = 2,
+                 backoff: float = 0.05, backoff_cap: float = 1.0):
         if lease_timeout <= 0:
             raise ExperimentError(
                 f"lease_timeout must be positive, got {lease_timeout}")
@@ -128,8 +113,7 @@ class Dispatcher:
             raise ExperimentError(
                 f"node_heartbeat must be positive, got {node_heartbeat}")
         self.executor = executor
-        self.cache = cache if cache is not None else executor.cache
-        self.events = events if events is not None else executor.events
+        self.events = executor.events
         self.lease_timeout = lease_timeout
         self.node_heartbeat = node_heartbeat
         self.retries = max(0, retries)
@@ -144,8 +128,8 @@ class Dispatcher:
         self._rng = random.Random(0xD157)
         self._lease_seq = 0
         self._rr = 0
-        #: Leases of the active run (reconcile checks membership).
-        self._outstanding: dict[str, _Lease] = {}
+        #: Lease ids of the active run (reconcile checks membership).
+        self._outstanding: set[str] = set()
         #: (node_name, result_doc) frames from reader threads.
         self._results: "list[tuple[str, dict]]" = []
         self._results_cv = threading.Condition()
@@ -354,304 +338,204 @@ class Dispatcher:
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=2.0)
 
-    # -- the scatter loop -------------------------------------------------
+    # -- a distributed run -----------------------------------------------
 
     def run(self, plans, journal=None):
         """Execute a batch; returns ``{plan: result}`` in input order.
 
         With zero live nodes this is exactly ``executor.run(plans)``.
+        Otherwise the executor's one loop drives remote-lease slots, and
+        hands what they give up on to its local slots.
         """
         with self._run_lock:
             if not self.live_nodes():
                 return self.executor.run(plans)
-            try:
-                return self._run(list(plans), journal)
-            finally:
-                with self._lock:
-                    self._outstanding.clear()
+            plans = list(plans)
+            return self.executor._run(plans, _Leases(self, plans, journal))
 
-    def _run(self, plans, journal):
-        started = time.monotonic()
-        total = len(plans)
-        indices = {plan: i + 1 for i, plan in enumerate(plans)}
-        fingerprints = {plan: plan.fingerprint() for plan in plans}
-        by_fp = {fp: plan for plan, fp in fingerprints.items()}
-        results: dict = {}
-        if self.cache is not None and self.cache.events is None:
-            self.cache.attach_events(self.events)
 
-        todo = []
-        for plan in plans:
-            cached = self.cache.get(plan) if self.cache is not None else None
-            if cached is not None:
-                results[plan] = cached
-                self.events.emit(PlanCacheHit(
-                    plan=plan, index=indices[plan], total=total,
-                    key=fingerprints[plan]))
-            else:
-                todo.append(plan)
-        self.events.emit(SuiteStarted(
-            total=total, jobs=max(1, len(self.live_nodes())),
-            cached=len(results)))
+class _Leases(_Slots):
+    """Remote-lease slots for one run: one per leased node slot.
 
-        run_counters = {key: 0 for key in self.counters}
-        reports: dict = {}
-        failures: dict = {}
-        #: [plan, dispatch_attempt, ready_at]
-        pending = [[plan, 1, 0.0] for plan in todo]
-        fallback: list = []
-        last_node: dict = {}
-        done_fp = {fingerprints[plan] for plan in results}
+    A slot is the dict ``{"current", "node", "lease"}`` of one
+    outstanding lease. Lease expiry is the slot's timeout and the node's
+    silence budget its heartbeat: either, or the node going down,
+    redispatches the plan (:class:`PlanRedispatched`) rather than
+    failing it, up to ``retries`` remote attempts. Result frames from
+    the reader threads are acked and routed to the slot holding their
+    lease; a late replica — its lease already settled — is dropped by
+    fingerprint and counted.
+    """
 
-        def bump(key, n=1):
-            run_counters[key] += n
-            with self._lock:
-                self.counters[key] += n
+    fault_context = False  # node threads share the process fault context
+    fallback = True
 
-        def lease_done(lease_id, status, node=""):
-            if journal is not None and lease_id:
-                journal.record_lease_result(
-                    lease=lease_id, status=status, node=node)
+    def __init__(self, dispatcher: Dispatcher, plans, journal):
+        super().__init__(dispatcher.executor)
+        self.d = dispatcher
+        self.journal = journal
+        self.retries = dispatcher.retries
+        self.jobs = max(1, len(dispatcher.live_nodes()))
+        self.fingerprints = {plan: plan.fingerprint() for plan in plans}
+        self.inbox: dict[str, dict] = {}
+        self.last_node: dict = {}
+        self.counters = {key: 0 for key in dispatcher.counters}
 
-        def release_slot(lease):
-            with self._lock:
-                node = self.nodes.get(lease.node)
-                if node is not None:
-                    node.leases.discard(lease.id)
+    def bump(self, key: str, n: int = 1) -> None:
+        self.counters[key] += n
+        with self.d._lock:
+            self.d.counters[key] += n
 
-        def accept(node_name, doc):
-            lease_id = doc.get("lease", "")
-            fp = doc.get("fingerprint", "")
-            lease = None
-            with self._lock:
-                lease = self._outstanding.pop(lease_id, None)
-                node = self.nodes.get(node_name)
-                if node is not None:
-                    node.leases.discard(lease_id)
-                    if node.live or node.state == "draining":
-                        try:
-                            node.framed.send({"type": "ack",
-                                              "lease": lease_id})
-                        except OSError:
-                            pass
-            plan = by_fp.get(fp)
-            if plan is None:
-                bump("duplicates_dropped")
-                lease_done(lease_id, "stale", node_name)
-                return
-            attempt = lease.attempt if lease is not None else \
-                int(doc.get("attempt", 1) or 1)
-            if fp in done_fp or plan in failures:
-                # Late replica (expired lease, partition resend, or an
-                # injected duplicate replay): first landing won.
-                bump("duplicates_dropped")
-                lease_done(lease_id, "duplicate", node_name)
-                return
-            if node is not None:
-                node.tasks_done += 1
-            if doc.get("ok"):
-                result = results[plan] = decode_result(doc)
-                done_fp.add(fp)
-                bump("completed")
-                # A plan requeued after its lease expired may still be
-                # in pending — the late result satisfies it.
-                pending[:] = [it for it in pending if it[0] is not plan]
-                fallback[:] = [p for p in fallback if p is not plan]
-                land_result(plan, result, events=self.events,
-                            cache=self.cache, index=indices[plan],
-                            total=total,
-                            seconds=float(doc.get("seconds", 0.0)),
-                            attempt=attempt, fault_context=False)
-                lease_done(lease_id, "ok", node_name)
-                return
-            # Remote failure: transient errors get more remote attempts
-            # then the local pool; deterministic errors fail the plan
-            # (they would fail identically anywhere).
-            message = str(doc.get("error") or "remote execution failed")
-            transient = bool(doc.get("transient"))
-            lease_done(lease_id, "failed", node_name)
-            history = record_attempt(
-                reports, plan, attempt, f"[{node_name}] {message}",
-                transient=transient, seconds=float(doc.get("seconds", 0.0)))
-            self.events.emit(PlanFailed(
-                plan=plan, error=message, attempt=attempt,
-                will_retry=transient, history=history))
-            if not transient:
-                failures[plan] = message
-                return
-            if attempt < self.retries + 1:
-                delay = backoff_delay(attempt, base=self.backoff,
-                                      cap=self.backoff_cap, rng=self._rng)
-                pending.append([plan, attempt + 1,
-                                time.monotonic() + delay])
-            else:
-                fallback.append(plan)
+    def settle(self, lease: str, status: str, node: str) -> None:
+        if self.journal is not None and lease:
+            self.journal.record_lease_result(lease=lease, status=status,
+                                             node=node)
 
-        def requeue(lease, reason):
-            release_slot(lease)
-            if fingerprints[lease.plan] in done_fp or lease.plan in failures:
-                return
-            bump("redispatched")
-            lease_done(lease.id, reason, lease.node)
-            self.events.emit(PlanRedispatched(
-                plan=lease.plan, fingerprint=lease.fingerprint,
-                from_node=lease.node, to_node="",
-                attempt=lease.attempt + 1, reason=reason))
-            if lease.attempt < self.retries + 1:
-                delay = backoff_delay(lease.attempt, base=self.backoff,
-                                      cap=self.backoff_cap, rng=self._rng)
-                pending.append([lease.plan, lease.attempt + 1,
-                                time.monotonic() + delay])
-            else:
-                fallback.append(lease.plan)
+    def delay(self, failed_attempt: int) -> float:
+        d = self.d
+        return backoff_delay(failed_attempt, base=d.backoff,
+                             cap=d.backoff_cap, rng=d._rng)
 
-        def pick_node(plan):
-            with self._lock:
-                candidates = [n for n in self.nodes.values()
-                              if n.live and len(n.leases) < n.slots]
-            if not candidates:
-                return None
-            avoid = last_node.get(plan)
-            if len(candidates) > 1:
-                preferred = [n for n in candidates if n.name != avoid]
-                if preferred:
-                    candidates = preferred
-            self._rr += 1
-            return candidates[self._rr % len(candidates)]
+    def budgets(self, slot: dict) -> tuple[float, float]:
+        node = slot["node"]
+        return self.d.lease_timeout, max(self.d.node_heartbeat,
+                                         2 * node.heartbeat)
 
-        def dispatch(item):
-            plan, attempt, _ = item
-            fp = fingerprints[plan]
-            if fp in done_fp or plan in failures:
-                return True
-            node = pick_node(plan)
-            if node is None:
-                pending.append(item)
-                return False
-            self._lease_seq += 1
-            lease = _Lease(
-                f"L{self._lease_seq:06d}", plan, fp, node.name, attempt,
-                time.monotonic() + self.lease_timeout)
-            # Invariant 1: the lease hits the journal before the task
-            # frame hits the socket.
-            if journal is not None:
-                journal.record_lease(
-                    lease=lease.id, fingerprint=fp, node=node.name,
-                    attempt=attempt, expires_in=self.lease_timeout)
-            with self._lock:
-                self._outstanding[lease.id] = lease
-                node.leases.add(lease.id)
-            last_node[plan] = node.name
-            self.events.emit(PlanStarted(
-                plan=plan, index=indices[plan], total=total,
-                attempt=attempt))
-            bump("dispatched")
-            timeout = self.executor.timeout
-            try:
-                node.framed.send({
-                    "type": "task", "lease": lease.id, "fingerprint": fp,
-                    "plan": plan.to_dict(), "attempt": attempt,
-                    "timeout": timeout if timeout else None})
-            except OSError:
-                self._node_lost(node, "dead")
-                return True  # node-gone sweep requeues the lease
-            # Injected mid-plan socket cut: the frame left the daemon,
-            # the connection dies before the result can come back.
-            if faults.fire_point("dist", f"dispatch:{plan.describe()}",
-                                 attempt=attempt,
-                                 kinds=("transient",)) is not None:
-                self._node_lost(node, "cut")
-            return True
+    def gone(self) -> bool:
+        return not self.d.live_nodes()
 
+    def acquire(self, plan) -> dict | None:
+        d = self.d
+        with d._lock:
+            candidates = [n for n in d.nodes.values()
+                          if n.live and len(n.leases) < n.slots]
+        if not candidates:
+            return None
+        avoid = self.last_node.get(plan)
+        candidates = [n for n in candidates if n.name != avoid] or candidates
+        d._rr += 1
+        return {"current": None, "lease": "",
+                "node": candidates[d._rr % len(candidates)]}
+
+    def send(self, slot: dict, plan, attempt: int) -> bool:
+        d, node = self.d, slot["node"]
+        fp = self.fingerprints[plan]
+        d._lease_seq += 1
+        lease = slot["lease"] = f"L{d._lease_seq:06d}"
+        # Invariant 1: the lease hits the journal before the task frame
+        # hits the socket.
+        if self.journal is not None:
+            self.journal.record_lease(
+                lease=lease, fingerprint=fp, node=node.name,
+                attempt=attempt, expires_in=d.lease_timeout)
+        with d._lock:
+            d._outstanding.add(lease)
+            node.leases.add(lease)
+        self.slots.append(slot)
+        self.last_node[plan] = node.name
+        self.bump("dispatched")
+        timeout = d.executor.timeout
         try:
-            while pending or self._outstanding:
-                progressed = False
-                now = time.monotonic()
+            node.framed.send({
+                "type": "task", "lease": lease, "fingerprint": fp,
+                "plan": plan.to_dict(), "attempt": attempt,
+                "timeout": timeout if timeout else None})
+        except OSError:
+            d._node_lost(node, "dead")  # the loop redispatches the lease
+            return True
+        # Injected mid-plan socket cut: the frame left the daemon, the
+        # connection dies before the result can come back.
+        if faults.fire_point("dist", f"dispatch:{plan.describe()}",
+                             attempt=attempt,
+                             kinds=("transient",)) is not None:
+            d._node_lost(node, "cut")
+        return True
 
-                # 1. accept results
-                with self._results_cv:
-                    batch, self._results = self._results, []
-                for node_name, doc in batch:
-                    progressed = True
-                    accept(node_name, doc)
+    def wait(self) -> None:
+        d = self.d
+        with d._results_cv:
+            if not d._results:
+                d._results_cv.wait(_POLL_S)
+            batch, d._results = d._results, []
+        held = {slot["lease"] for slot in self.slots}
+        fps = set(self.fingerprints.values())
+        for node_name, doc in batch:
+            lease = str(doc.get("lease", ""))
+            with d._lock:
+                node = d.nodes.get(node_name)
+                if node is not None and node.state != "down":
+                    try:
+                        node.framed.send({"type": "ack", "lease": lease})
+                    except OSError:
+                        pass
+            if lease in held and lease not in self.inbox:
+                self.inbox[lease] = doc
+                continue
+            # Late replica (expired lease, partition resend, or an
+            # injected duplicate replay): its lease is already settled.
+            self.bump("duplicates_dropped")
+            self.settle(lease, "duplicate" if doc.get("fingerprint") in fps
+                        else "stale", node_name)
 
-                # 2. hang discrimination: open socket, silent beats
-                for node in self.live_nodes():
-                    budget = max(self.node_heartbeat, 2 * node.heartbeat)
-                    if node.leases and now - node.last_beat > budget:
-                        self._node_lost(node, "hung")
+    def poll(self, slot: dict) -> dict | None:
+        node = slot["node"]
+        if slot["current"] is not None:
+            slot["current"][3] = max(slot["current"][3], node.last_beat)
+        doc = self.inbox.pop(slot["lease"], None)
+        if doc is None:
+            return None
+        node.tasks_done += 1
+        if doc.get("ok"):
+            return doc
+        # Transient remote errors get more remote attempts, then the
+        # local slots; deterministic ones fail the plan (they would
+        # fail identically anywhere).
+        error = doc.get("error") or "remote execution failed"
+        return dict(doc, error=f"[{node.name}] {error}")
 
-                # 3. requeue leases held by lost nodes / expired leases
-                with self._lock:
-                    leases = list(self._outstanding.values())
-                    states = {n.name: n.state for n in self.nodes.values()}
-                for lease in leases:
-                    state = states.get(lease.node, "down")
-                    expired = lease.expires <= now
-                    # A draining node keeps its current lease: drain
-                    # means finish-then-leave, not abandon.
-                    if state in ("up", "draining") and not expired:
-                        continue
-                    with self._lock:
-                        if self._outstanding.pop(lease.id, None) is None:
-                            continue
-                    progressed = True
-                    if expired and state == "up":
-                        bump("leases_expired")
-                        requeue(lease, "lease-expired")
-                    else:
-                        requeue(lease, "node-lost")
+    def dead(self, slot: dict) -> str | None:
+        # A draining node keeps its current lease: drain means
+        # finish-then-leave, not abandon.
+        return "node lost" if slot["node"].state == "down" else None
 
-                # 4. dispatch ready plans
-                ready = [it for it in pending
-                         if it[2] <= now and self.live_nodes()]
-                for item in ready:
-                    pending.remove(item)
-                    if dispatch(item):
-                        progressed = True
+    def release(self, slot: dict) -> None:
+        self.slots.remove(slot)
+        with self.d._lock:
+            self.d._outstanding.discard(slot["lease"])
+            slot["node"].leases.discard(slot["lease"])
 
-                # 5. degrade, never fail: the whole remote tier is gone
-                if not self.live_nodes() and not self._outstanding:
-                    fallback.extend(p for p, _a, _t in pending)
-                    pending.clear()
-                    break
+    def done(self, slot: dict, msg: dict) -> None:
+        self.release(slot)
+        if msg.get("ok"):
+            self.bump("completed")
+        self.settle(slot["lease"], "ok" if msg.get("ok") else "failed",
+                    slot["node"].name)
 
-                if not progressed:
-                    with self._results_cv:
-                        if not self._results:
-                            self._results_cv.wait(_POLL_S)
-        finally:
-            with self._lock:
-                self._outstanding.clear()
-                for node in self.nodes.values():
-                    node.leases.clear()
+    def kill(self, slot: dict, why: str) -> bool:
+        node = slot["node"]
+        self.release(slot)
+        if why == "heartbeat":
+            # hang discrimination: an open socket with silent beats
+            self.d._node_lost(node, "hung")
+        reason = "lease-expired" if why == "timeout" else "node-lost"
+        if why == "timeout":
+            self.bump("leases_expired")
+        plan, attempt = slot["current"][:2]  # a lease slot is never idle
+        self.bump("redispatched")
+        self.settle(slot["lease"], reason, node.name)
+        self.d.events.emit(PlanRedispatched(
+            plan=plan, fingerprint=self.fingerprints[plan],
+            from_node=node.name, to_node="", attempt=attempt + 1,
+            reason=reason))
+        return False  # a redispatch, not a failed attempt
 
-        local = [plan for plan in plans
-                 if plan in fallback or
-                 (fingerprints[plan] not in done_fp
-                  and plan not in failures and plan not in results)]
-        if local:
-            bump("local_fallback", len(local))
-            try:
-                results.update(self.executor.run(local))
-            except SuiteExecutionError as err:
-                for report in err.reports:
-                    merged = reports.setdefault(
-                        report.plan, PlanFailureReport(plan=report.plan))
-                    merged.attempts.extend(report.attempts)
-                    failures[report.plan] = (
-                        report.attempts[-1].error if report.attempts
-                        else "local fallback failed")
-
-        self.events.emit(DistStats(stats=dict(run_counters)))
-        self.events.emit(SuiteFinished(
-            total=total,
-            executed=len(todo) - len(failures),
-            cached=total - len(todo),
-            failed=len(failures),
-            seconds=time.monotonic() - started,
-        ))
-        if failures:
-            raise SuiteExecutionError(
-                [reports[plan] for plan in failures], total)
-        return {plan: results[plan] for plan in plans}
+    def close(self, handoff: list, degraded: bool) -> None:
+        with self.d._lock:
+            self.d._outstanding.clear()
+            for node in self.d.nodes.values():
+                node.leases.clear()
+        # Degrade, never fail: what the remote tier gave up on runs on
+        # the daemon's local slots.
+        if handoff:
+            self.bump("local_fallback", len(handoff))
+        self.d.events.emit(DistStats(stats=dict(self.counters)))

@@ -31,6 +31,7 @@ fault harness can tear its appends deterministically).
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import time
@@ -88,8 +89,16 @@ def _quarantine(path: Path, reason: str) -> Path:
     return dest
 
 
-def _new_run_id() -> str:
-    return time.strftime("%Y%m%d-%H%M%S") + f"-{os.getpid()}"
+#: Per-process id sequence: ids minted within one second stay apart.
+_ID_SEQ = itertools.count(1)
+
+
+def new_run_id() -> str:
+    """A fresh journal id: the wall-clock second, then pid and a
+    per-process sequence, then a random tail that keeps ids apart when
+    a later process reuses the pid within the same second."""
+    return (time.strftime("%Y%m%d-%H%M%S")
+            + f"-{os.getpid()}-{next(_ID_SEQ):04d}-{os.urandom(3).hex()}")
 
 
 class RunJournal:
@@ -132,8 +141,10 @@ class RunJournal:
         """Start a fresh journal; writes (and fsyncs) the header line,
         then fsyncs the parent directory so the file itself survives a
         crash. ``extra`` keys are merged into the header (and surface on
-        :attr:`header` after :meth:`load`)."""
-        run_id = run_id or _new_run_id()
+        :attr:`header` after :meth:`load`). The file is created
+        exclusively: an existing ``run_id`` raises
+        :class:`FileExistsError` and its journal is left as it was."""
+        run_id = run_id or new_run_id()
         root = cls.directory(cache_root)
         root.mkdir(parents=True, exist_ok=True)
         journal = cls(root / f"{run_id}.jsonl", run_id=run_id,
@@ -148,6 +159,7 @@ class RunJournal:
         for key, value in (extra or {}).items():
             header.setdefault(key, value)
         journal.header = header
+        journal._fh = journal.path.open("xb")
         journal._append(header)
         _fsync_dir(root)
         return journal

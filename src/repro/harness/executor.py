@@ -1,4 +1,4 @@
-"""Plan execution: serial or process-parallel, cached, with supervision.
+"""Plan execution: cached, supervised, in-process or on worker processes.
 
 The :class:`Executor` turns a batch of :class:`ExperimentPlan` values
 into :class:`ConfigResult` values. For each plan it
@@ -7,50 +7,51 @@ into :class:`ConfigResult` values. For each plan it
    simulation entirely); on a result-level miss, the cache's trace level
    can still satisfy the plan by replaying a recorded retirement stream
    through the fused analysis engine (:func:`execute_plan`);
-2. otherwise simulates — in-process when only one worker would be used
-   (``jobs == 1`` or a single outstanding plan) and no timeout/heartbeat
-   supervision is requested, else in a **persistent warm worker pool**
-   (``multiprocessing``, fork start method where available): long-lived
-   workers pull plans from a task queue and keep per-process warm caches
-   (:mod:`repro.harness.warmcache`) — built workload images by
-   fingerprint and translated block/summary code by source text — so a
-   suite pays cold-start (imports, image build, block translation) once
-   per worker instead of once per plan. Workers recycle after
-   ``max_tasks_per_worker`` tasks or on any fault; machine state is
-   rebuilt per plan, so results are byte-identical to fresh-process
-   execution (``warm_pool=False`` is that baseline: the same pool loop,
-   but each worker retires after one task and no block store is
-   shared). ``jobs=None`` defaults to one worker per CPU, capped at the
-   number of plans to simulate;
-3. supervises workers two ways: a per-plan wall-clock ``timeout`` (the
-   budget for *legitimate* work) and a ``heartbeat`` deadline (a worker
-   that stops beating is wedged — deadlocked, swapped out, or stuck in
-   an uninterruptible syscall — long before its timeout would fire);
+2. otherwise runs it through **one supervision loop**
+   (:meth:`Executor._supervise`), which drives *slots* through four
+   operations: send a task, poll for its result or a heartbeat, check
+   liveness and budgets, kill. A slot is one of three kinds:
+
+   * the **in-process slot** (``jobs == 1`` or one plan to run, and no
+     timeout/heartbeat) runs the task in this process when polled;
+   * a **pipe worker** of the persistent warm pool (``multiprocessing``,
+     fork start method where available) pulls plans from its task pipe
+     and keeps per-process warm caches (:mod:`repro.harness.warmcache`:
+     workload images by fingerprint, translated block/summary code by
+     source text), so a suite pays cold-start once per worker, not once
+     per plan. Workers recycle after ``max_tasks_per_worker`` tasks or
+     on any fault; machine state is rebuilt per plan, so results are
+     byte-identical to fresh-process execution (``warm_pool=False`` is
+     that baseline: each worker retires after one task). ``jobs=None``
+     means one worker per CPU, capped at the number of plans to run;
+   * a **remote lease** on a worker node, handed to the loop by
+     :class:`repro.dist.dispatcher.Dispatcher`;
+3. supervises a task two ways: a wall-clock ``timeout`` (the budget for
+   *legitimate* work; a lease's expiry) and a ``heartbeat`` deadline (a
+   worker that stops beating is wedged long before its timeout would
+   fire; a node's silence budget);
 4. retries *transient* failures — a worker killed by a signal, a
    timeout, a lost heartbeat, an OS-level error — up to ``retries``
    times with exponential backoff plus seeded jitter, and raises a
-   structured :class:`SuiteExecutionError` (per-plan attempt histories,
-   not a bare message) for anything that remains failed;
+   structured :class:`SuiteExecutionError` (per-plan attempt histories)
+   for anything that remains failed;
 5. degrades gracefully: repeated *pool-level* failures (workers dying
-   without reporting, broken result pipes) trip the pool breaker and the
-   remaining plans run serially in-process
-   (:class:`~repro.harness.events.ExecutorDegraded`);
-6. emits structured telemetry (:mod:`repro.harness.events`) throughout.
-
-Every finished plan — serial, pooled, or run on a remote node by
-:class:`repro.dist.dispatcher.Dispatcher` — lands through
-:func:`land_result`, the one place that writes the cache entry before
-emitting :class:`PlanFinished`; every failed attempt is recorded by
-:func:`record_attempt`.
+   without reporting, broken result pipes) trip the pool breaker
+   (:class:`~repro.harness.events.ExecutorDegraded`), and the rest of
+   the run passes through the same loop again on the in-process slot;
+   plans the remote tier gives up on do the same on local slots;
+6. emits structured telemetry (:mod:`repro.harness.events`): one
+   ``SuiteStarted``/``SuiteFinished`` pair per run, whichever slots ran
+   it, and every finished plan through :func:`land_result`, which
+   writes the cache entry before emitting :class:`PlanFinished`.
 
 Fault injection (:mod:`repro.harness.faults`) threads through every one
 of these paths — ``execute_plan`` and the worker's per-task body
 ``_child_main`` check their sites, and the active plan ships to workers
 as a serialized argument — at zero cost when no plan is installed.
-
-Results computed in worker processes travel back through the same
-versioned ``to_dict``/``from_dict`` round-trip the cache uses, so the
-parallel path is bit-identical to the serial one by construction.
+Results from worker processes travel back through the same versioned
+``to_dict``/``from_dict`` round-trip the cache uses, so every slot kind
+is bit-identical to the others by construction.
 """
 
 from __future__ import annotations
@@ -91,11 +92,11 @@ if TYPE_CHECKING:
 #: and retrying would only multiply the wall-clock.
 _TRANSIENT = (OSError, EOFError, MemoryError, TimeoutError)
 
-#: Polling interval for the process scheduler, seconds.
+#: Polling interval of the supervision loop, seconds.
 _POLL_S = 0.02
 
 #: Consecutive pool-level failures (dead workers, broken pipes) that
-#: trip the breaker and degrade the pool to serial execution.
+#: trip the breaker and degrade the pool to the in-process slot.
 POOL_FAILURE_LIMIT = 3
 
 
@@ -111,7 +112,7 @@ class AttemptRecord:
     #: the attempt died on a guest fault (survives the worker pipe).
     fault: dict | None = None
     #: True when the attempt ran on a warm (reused) worker, False on a
-    #: cold one, None when unknown (serial path, remote node).
+    #: cold one, None when unknown (in-process slot, remote node).
     warm: bool | None = None
 
 
@@ -140,32 +141,6 @@ class SuiteExecutionError(ExperimentError):
             f"{len(reports)} of {total} plans failed: {detail}")
 
 
-def record_attempt(reports: dict, plan: ExperimentPlan, attempt: int,
-                   error: str, *, transient: bool, seconds: float = 0.0,
-                   fault: dict | None = None,
-                   warm: bool | None = None) -> tuple[str, ...]:
-    """Append one failed attempt to ``plan``'s report in ``reports``;
-    returns the errors of the attempts before it (the ``history`` of
-    the :class:`PlanFailed` event the caller emits)."""
-    report = reports.setdefault(plan, PlanFailureReport(plan=plan))
-    history = tuple(a.error for a in report.attempts)
-    report.attempts.append(AttemptRecord(
-        attempt=attempt, error=error, transient=transient,
-        seconds=seconds, fault=fault, warm=warm))
-    return history
-
-
-def decode_result(msg: dict) -> "ConfigResult":
-    """The :class:`ConfigResult` carried by a successful result message
-    (from a pool worker or a remote node): the result dict plus the
-    translation counters that travel beside it."""
-    from repro.harness.experiments import ConfigResult
-
-    result = ConfigResult.from_dict(msg["result"])
-    result.translation = msg.get("translation")
-    return result
-
-
 def land_result(plan: ExperimentPlan, result: "ConfigResult", *,
                 events: EventBus, cache: ResultCache | None, index: int,
                 total: int, seconds: float, attempt: int,
@@ -173,13 +148,12 @@ def land_result(plan: ExperimentPlan, result: "ConfigResult", *,
     """Land one finished plan: its trace-hit and translation events,
     then its cache entry, then :class:`PlanFinished`.
 
-    The serial loop, the pool loop and the dist dispatcher all call
-    this. The journals record a plan as done on ``PlanFinished``, so its
-    cache entry must already be on disk by then. With an installed fault
-    plan and ``fault_context``, the cache write runs under this plan's
-    context so plan-filtered cache faults match it; the dispatcher
-    passes False, because its node threads share the process-global
-    context.
+    The supervision loop calls this for every slot kind. The journals
+    record a plan as done on ``PlanFinished``, so its cache entry must
+    already be on disk by then. With an installed fault plan and
+    ``fault_context``, the cache write runs under this plan's context so
+    plan-filtered cache faults match it; remote-lease slots pass False,
+    because in-process worker nodes share the process-global context.
     """
     if trace_hit:
         events.emit(PlanTraceHit(plan=plan, index=index, total=total,
@@ -215,7 +189,7 @@ def execute_plan(plan: ExperimentPlan,
     ``compile()`` (decode, inlining and source generation still run).
 
     Fault-injection site ``execute`` fires here (transient/error/hang),
-    covering both the serial path and worker processes; the ``warm``
+    covering both the in-process slot and worker processes; the ``warm``
     site fires inside the warm cache on image reuse.
     """
     from repro.harness.experiments import run_config
@@ -475,13 +449,6 @@ def _stop_pool_worker(worker: dict, *, force: bool) -> None:
             pass
 
 
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else methods[0]
-    )
-
-
 def backoff_delay(failed_attempt: int, *, base: float, cap: float,
                   rng: random.Random) -> float:
     """Exponential backoff with seeded jitter: the wait before the
@@ -509,6 +476,245 @@ def validate_limits(*, jobs: int | None = None, timeout: float | None = None,
         raise ExperimentError(f"retries must be >= 0, got {retries}")
 
 
+class _Slots:
+    """One kind of slot for :meth:`Executor._supervise` to drive.
+
+    A slot is a dict whose ``"current"`` is ``[plan, attempt, started,
+    last_beat]`` while it holds a task and None while idle. The loop
+    starts a task with :meth:`acquire` and :meth:`send`, reads its
+    result or heartbeat with :meth:`poll`, checks liveness with
+    :meth:`dead` and the :meth:`budgets`, and ends a slot with
+    :meth:`kill`. The defaults here are those of the local kinds.
+    """
+
+    #: ``land_result`` may set the landing plan's fault context.
+    fault_context = True
+    #: Transient failures past ``retries`` go to local slots instead of
+    #: failing the plan.
+    fallback = False
+    #: Slot deaths count toward the pool breaker.
+    breaker = False
+
+    def __init__(self, executor: "Executor"):
+        self.executor = executor
+        self.retries = executor.retries
+        self.slots: list[dict] = []
+
+    def delay(self, failed_attempt: int) -> float:
+        return self.executor._backoff_delay(failed_attempt)
+
+    def wait(self) -> None:
+        time.sleep(_POLL_S)
+
+    def budgets(self, slot: dict) -> tuple[float | None, float | None]:
+        """(timeout, heartbeat) for ``slot``'s task; None = unchecked."""
+        return None, None
+
+    def dead(self, slot: dict) -> str | None:
+        """Why ``slot`` can no longer report, or None while it can."""
+        return None
+
+    def gone(self) -> bool:
+        """True when no slot can ever be acquired again."""
+        return False
+
+    def done(self, slot: dict, msg: dict) -> None:
+        """``slot`` reported on its task (the loop has landed it)."""
+
+    def close(self, handoff: list, degraded: bool) -> None:
+        """The loop is leaving these slots; ``handoff`` moves on."""
+
+
+class _InProcess(_Slots):
+    """The in-process slot: a task runs in this process when polled, so
+    the loop never sleeps after it. Deterministic errors are re-raised
+    in place; only transient ones are retried."""
+
+    jobs = 1
+
+    def __init__(self, executor: "Executor"):
+        super().__init__(executor)
+        self.warm = executor._warm_cache() if executor.warm_pool else None
+        if self.warm is not None:
+            self.warm.take_delta()  # discard activity from prior runs
+        self.slots = [{"current": None}]
+
+    def acquire(self, plan: ExperimentPlan) -> dict | None:
+        slot = self.slots[0]
+        return slot if slot["current"] is None else None
+
+    def send(self, slot: dict, plan: ExperimentPlan, attempt: int) -> bool:
+        return True
+
+    def wait(self) -> None:
+        if self.slots[0]["current"] is None:
+            time.sleep(_POLL_S)  # only retries backing off are left
+
+    def poll(self, slot: dict) -> dict | None:
+        if slot["current"] is None:
+            return None
+        plan, attempt, started, _beat = slot["current"]
+        cache = self.executor.cache
+        traces = cache.traces if cache is not None else None
+        trace_hits = traces.stats.hits if traces is not None else 0
+        if faults.active() is not None:
+            faults.set_context(plan=plan.describe(), attempt=attempt,
+                               in_worker=False)
+        try:
+            result = execute_plan(plan, traces, warm_cache=self.warm)
+        except _TRANSIENT as err:
+            msg = {"ok": False, "error": f"{type(err).__name__}: {err}",
+                   "transient": True}
+        except (ReproError, AssertionError) as err:
+            # deterministic: simulator/config bugs surface as-is
+            report = getattr(err, "fault_report", None)
+            msg = {"ok": False, "error": f"{type(err).__name__}: {err}",
+                   "transient": False, "raise": err,
+                   "fault": report.to_dict() if report is not None else None}
+        else:
+            msg = {"ok": True, "value": result,
+                   "seconds": time.monotonic() - started,
+                   "trace_hit": (traces is not None
+                                 and traces.stats.hits > trace_hits)}
+        if self.warm is not None:
+            msg["warm_stats"] = self.warm.take_delta()
+        return msg
+
+
+class _Pipes(_Slots):
+    """Pipe-worker slots: the warm pool's worker processes, each a dict
+    with its process, task and result pipes, slot number and task count.
+    Workers are spawned up to ``jobs`` and recycle after
+    ``max_tasks_per_worker`` tasks (every task when ``warm_pool`` is
+    off), on a ``poisoned`` warm-state report, and on any fault."""
+
+    breaker = True
+
+    def __init__(self, executor: "Executor", jobs: int):
+        super().__init__(executor)
+        self.jobs = jobs
+        cache = executor.cache
+        self.trace_root = (str(cache.traces.root)
+                           if cache is not None else None)
+        self.block_root = (str(cache.blocks.root)
+                           if cache is not None and executor.warm_pool
+                           else None)
+        self.max_tasks = (executor.max_tasks_per_worker
+                          if executor.warm_pool else 1)
+        self.fault_doc = faults.export()
+        if executor.persistent:
+            # Reuse the fleet from prior runs. A changed fault plan
+            # invalidates the workers (they installed the old one at
+            # spawn).
+            if (executor._pool_workers
+                    and executor._pool_fault_doc != self.fault_doc):
+                executor.close()
+            executor._pool_fault_doc = self.fault_doc
+            self.slots = executor._pool_workers
+        # a persistent worker that died while idle is swept here rather
+        # than striking against this run
+        for worker in [w for w in self.slots if not w["proc"].is_alive()]:
+            self.recycle(worker, "fault", force=True)
+
+    def budgets(self, slot: dict) -> tuple[float | None, float | None]:
+        return self.executor.timeout, self.executor.heartbeat
+
+    def acquire(self, plan: ExperimentPlan) -> dict | None:
+        idle = next((w for w in self.slots if w["current"] is None), None)
+        if idle is None and len(self.slots) < self.jobs:
+            idle = self.spawn()
+        return idle
+
+    def spawn(self) -> dict:
+        executor = self.executor
+        ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else None)
+        task_recv, task_send = ctx.Pipe(duplex=False)
+        res_recv, res_send = ctx.Pipe(duplex=False)
+        inherited = [task_send, res_recv]
+        for other in self.slots:
+            inherited += (other["task"], other["res"])
+        proc = ctx.Process(
+            target=_pool_worker_main,
+            args=(task_recv, res_send, self.trace_root, self.fault_doc,
+                  executor.heartbeat, self.block_root,
+                  executor._pool_next_slot, inherited),
+            daemon=True,
+        )
+        proc.start()
+        task_recv.close()
+        res_send.close()
+        worker = {"proc": proc, "task": task_send, "res": res_recv,
+                  "slot": executor._pool_next_slot, "tasks": 0,
+                  "current": None}
+        executor._pool_next_slot += 1
+        self.slots.append(worker)
+        return worker
+
+    def send(self, slot: dict, plan: ExperimentPlan, attempt: int) -> bool:
+        try:
+            slot["task"].send({"plan": plan.to_dict(), "attempt": attempt})
+        except Exception:
+            return False
+        return True
+
+    def poll(self, slot: dict) -> dict | None:
+        while slot["res"].poll():
+            try:
+                received = slot["res"].recv()
+            except (EOFError, OSError):
+                slot["closed"] = True
+                return None
+            if isinstance(received, dict) and "hb" in received:
+                if slot["current"] is not None:
+                    slot["current"][3] = time.monotonic()
+                continue
+            return received
+        return None
+
+    def dead(self, slot: dict) -> str | None:
+        if slot.get("closed"):
+            return "worker pipe closed unexpectedly"
+        if not slot["proc"].is_alive():
+            return f"worker died (exit code {slot['proc'].exitcode})"
+        return None
+
+    def done(self, slot: dict, msg: dict) -> None:
+        slot["tasks"] += 1
+        if msg.get("poisoned"):
+            self.recycle(slot, "poisoned", force=True)
+        elif self.max_tasks and slot["tasks"] >= self.max_tasks:
+            self.recycle(slot, "max-tasks", force=False)
+
+    def kill(self, slot: dict, why: str) -> bool:
+        self.recycle(slot, "fault", force=True)
+        return True
+
+    def recycle(self, worker: dict, reason: str, *, force: bool) -> None:
+        _stop_pool_worker(worker, force=force)
+        self.slots.remove(worker)
+        self.executor.events.emit(WorkerRecycled(
+            worker=worker["slot"], tasks=worker["tasks"], reason=reason))
+
+    def close(self, handoff: list, degraded: bool) -> None:
+        # A persistent fleet stays warm for the next run() (close()
+        # retires it); a degraded fleet is never kept.
+        if degraded or not self.executor.persistent:
+            self.executor._retire(self.slots, force=degraded)
+
+
+@dataclass
+class _Run:
+    """One run's bookkeeping, shared by every pass of the loop."""
+
+    indices: dict[ExperimentPlan, int]
+    results: dict = field(default_factory=dict)
+    failures: dict[ExperimentPlan, str] = field(default_factory=dict)
+    reports: dict[ExperimentPlan, PlanFailureReport] = field(
+        default_factory=dict)
+
+
 class Executor:
     """Runs batches of plans with caching, parallelism and supervision.
 
@@ -523,12 +729,12 @@ class Executor:
         events: optional :class:`EventBus` for progress telemetry.
         timeout: per-plan wall-clock limit in seconds. Enforced by
             running plans in killable worker processes, so setting it
-            forces the process path even with ``jobs=1``.
+            forces pool workers even with ``jobs=1``.
         heartbeat: hang-detection deadline in seconds, distinct from the
             timeout: workers beat every ``heartbeat/4`` (capped at 1s),
             and a worker silent for longer than ``heartbeat`` is killed
             and its plan retried as a transient failure. Setting it
-            forces the process path (a wedged in-process plan cannot be
+            forces pool workers (a wedged in-process plan cannot be
             supervised).
         retries: extra attempts after a transient failure (default 1).
         backoff: base delay before a retry; attempt ``n`` waits
@@ -538,8 +744,8 @@ class Executor:
         warm_pool: keep worker processes alive across plans with warm
             per-process caches (the default). False is the byte-identity
             baseline warm mode is tested against: pool workers retire
-            after every task and share no block store, and the serial
-            path runs without a warm cache.
+            after every task and share no block store, and the
+            in-process slot runs without a warm cache.
         max_tasks_per_worker: retire a warm worker after this many
             tasks (0 = never); a fresh process takes its place while
             plans remain.
@@ -596,75 +802,19 @@ class Executor:
         self._pool_fault_doc: dict | None = None
         #: Seeded jitter: deterministic per Executor instance.
         self._rng = random.Random(0x5EED)
-        #: In-process warm cache for the serial path (persists across
-        #: ``run`` calls, like a long-lived worker would).
-        self._serial_warm: WarmCache | None = None
-        #: Aggregated warm counters for the current ``run``.
-        self._warm_totals: dict[str, int] = {}
+        #: The in-process slot's warm cache (persists across ``run``
+        #: calls, like a long-lived worker would).
+        self._inprocess_warm: WarmCache | None = None
+        #: Aggregated warm counters for the current ``run``; None until
+        #: it uses local slots.
+        self._warm_totals: dict[str, int] | None = None
 
     # -- public API ------------------------------------------------------
 
     def run(self, plans: Sequence[ExperimentPlan],
             ) -> dict[ExperimentPlan, "ConfigResult"]:
         """Execute a batch; returns ``{plan: result}`` in input order."""
-        plans = list(plans)
-        started = time.monotonic()
-        results: dict[ExperimentPlan, "ConfigResult"] = {}
-        indices = {plan: i + 1 for i, plan in enumerate(plans)}
-        total = len(plans)
-        if self.cache is not None and self.cache.events is None:
-            self.cache.attach_events(self.events)
-
-        todo: list[ExperimentPlan] = []
-        for plan in plans:
-            cached = self.cache.get(plan) if self.cache is not None else None
-            if cached is not None:
-                results[plan] = cached
-                self.events.emit(PlanCacheHit(
-                    plan=plan, index=indices[plan], total=total,
-                    key=plan.fingerprint()))
-            else:
-                todo.append(plan)
-        # one worker per CPU by default, never more than there is work
-        jobs = self.jobs or min(os.cpu_count() or 1, max(1, len(todo)))
-        self.events.emit(SuiteStarted(
-            total=total, jobs=jobs, cached=len(results)))
-
-        reports: dict[ExperimentPlan, PlanFailureReport] = {}
-        failures: dict[ExperimentPlan, str] = {}
-        self._warm_totals = {}
-        warm_serial: WarmCache | None = None
-        if todo and self.warm_pool:
-            warm_serial = self._warm_cache()
-            warm_serial.take_delta()  # discard activity from prior runs
-        try:
-            if todo:
-                supervised = (self.timeout is not None
-                              or self.heartbeat is not None)
-                if (jobs == 1 or len(todo) == 1) and not supervised:
-                    results.update(self._run_serial(
-                        todo, indices, total, failures, reports,
-                        warm=warm_serial))
-                else:
-                    results.update(self._run_pool(
-                        todo, indices, total, failures, reports, jobs))
-        finally:
-            if warm_serial is not None:
-                self._merge_warm(warm_serial.take_delta())
-        if self.warm_pool and todo:
-            self.events.emit(WarmCacheStats(stats=dict(self._warm_totals)))
-
-        self.events.emit(SuiteFinished(
-            total=total,
-            executed=len(todo) - len(failures),
-            cached=total - len(todo),
-            failed=len(failures),
-            seconds=time.monotonic() - started,
-        ))
-        if failures:
-            raise SuiteExecutionError(
-                [reports[plan] for plan in failures], total)
-        return {plan: results[plan] for plan in plans}
+        return self._run(list(plans))
 
     def run_suite(
         self,
@@ -729,21 +879,75 @@ class Executor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- warm-cache plumbing ---------------------------------------------
+    # -- one run ---------------------------------------------------------
+
+    def _run(self, plans: list[ExperimentPlan], remote: _Slots | None = None,
+             ) -> dict[ExperimentPlan, "ConfigResult"]:
+        """Sweep the cache, supervise the misses on ``remote`` slots or
+        local ones, and account for the whole batch: one
+        ``SuiteStarted``/``SuiteFinished`` pair, one
+        :class:`SuiteExecutionError` for whatever failed."""
+        started = time.monotonic()
+        run = _Run({plan: i + 1 for i, plan in enumerate(plans)})
+        total = len(plans)
+        if self.cache is not None and self.cache.events is None:
+            self.cache.attach_events(self.events)
+
+        todo: list[ExperimentPlan] = []
+        for plan in plans:
+            cached = self.cache.get(plan) if self.cache is not None else None
+            if cached is not None:
+                run.results[plan] = cached
+                self.events.emit(PlanCacheHit(
+                    plan=plan, index=run.indices[plan], total=total,
+                    key=plan.fingerprint()))
+            else:
+                todo.append(plan)
+        self.events.emit(SuiteStarted(
+            total=total, cached=len(run.results),
+            jobs=remote.jobs if remote is not None else self._jobs(len(todo))))
+
+        self._warm_totals = None
+        if todo:
+            self._supervise(run, todo, remote or self._local(len(todo)))
+        if self.warm_pool and self._warm_totals is not None:
+            self.events.emit(WarmCacheStats(stats=dict(self._warm_totals)))
+
+        self.events.emit(SuiteFinished(
+            total=total,
+            executed=len(todo) - len(run.failures),
+            cached=total - len(todo),
+            failed=len(run.failures),
+            seconds=time.monotonic() - started,
+        ))
+        if run.failures:
+            raise SuiteExecutionError(
+                [run.reports[plan] for plan in run.failures], total)
+        return {plan: run.results[plan] for plan in plans}
+
+    def _jobs(self, count: int) -> int:
+        # one worker per CPU by default, never more than there is work
+        return self.jobs or min(os.cpu_count() or 1, max(1, count))
+
+    def _local(self, count: int) -> _Slots:
+        """This process's slots for ``count`` plans: in-process when one
+        worker would do and nothing asks for supervision, else pool
+        workers."""
+        if self._warm_totals is None:
+            self._warm_totals = {}
+        jobs = self._jobs(count)
+        supervised = self.timeout is not None or self.heartbeat is not None
+        if (jobs == 1 or count == 1) and not supervised:
+            return _InProcess(self)
+        return _Pipes(self, jobs)
 
     def _warm_cache(self) -> WarmCache:
-        """The serial path's per-Executor warm cache (created lazily, so
-        a ``warm_pool=False`` executor never touches warm state)."""
-        if self._serial_warm is None:
+        """The in-process slot's warm cache (created lazily, so a
+        ``warm_pool=False`` executor never touches warm state)."""
+        if self._inprocess_warm is None:
             block_store = self.cache.blocks if self.cache is not None else None
-            self._serial_warm = WarmCache(block_store)
-        return self._serial_warm
-
-    def _merge_warm(self, delta: dict | None) -> None:
-        for key, value in (delta or {}).items():
-            self._warm_totals[key] = self._warm_totals.get(key, 0) + value
-
-    # -- retry policy ----------------------------------------------------
+            self._inprocess_warm = WarmCache(block_store)
+        return self._inprocess_warm
 
     def _backoff_delay(self, failed_attempt: int) -> float:
         """Exponential backoff with seeded jitter: the wait before the
@@ -751,280 +955,161 @@ class Executor:
         return backoff_delay(failed_attempt, base=self.backoff,
                              cap=self.backoff_cap, rng=self._rng)
 
-    def _attempt_failed(self, reports, failures, plan, attempt, message, *,
-                        transient, started, fault=None, warm=None) -> bool:
-        """Record a failed attempt and emit :class:`PlanFailed`; returns
-        whether the plan gets another attempt (else it joins
-        ``failures``)."""
-        history = record_attempt(
-            reports, plan, attempt, message, transient=transient,
-            seconds=time.monotonic() - started, fault=fault, warm=warm)
-        retry = transient and attempt <= self.retries
-        self.events.emit(PlanFailed(
-            plan=plan, error=message, attempt=attempt, will_retry=retry,
-            history=history))
-        if not retry:
-            failures[plan] = message
-        return retry
+    # -- the supervision loop ----------------------------------------------
 
-    # -- serial path -----------------------------------------------------
+    def _supervise(self, run: _Run, todo: list[ExperimentPlan],
+                   fleet: _Slots) -> None:
+        """Run ``todo`` on ``fleet``'s slots: the one scheduling loop.
 
-    def _run_serial(self, todo, indices, total, failures, reports,
-                    warm: WarmCache | None = None):
-        results = {}
-        traces = self.cache.traces if self.cache is not None else None
-        injecting = faults.active() is not None
-        for plan in todo:
-            attempt = 1
-            while True:
-                self.events.emit(PlanStarted(
-                    plan=plan, index=indices[plan], total=total,
-                    attempt=attempt))
-                plan_started = time.monotonic()
-                trace_hits = traces.stats.hits if traces is not None else 0
-                if injecting:
-                    faults.set_context(plan=plan.describe(), attempt=attempt,
-                                       in_worker=False)
-                try:
-                    result = execute_plan(plan, traces, warm_cache=warm)
-                except _TRANSIENT as err:
-                    if not self._attempt_failed(
-                            reports, failures, plan, attempt,
-                            f"{type(err).__name__}: {err}", transient=True,
-                            started=plan_started):
-                        break
-                    delay = self._backoff_delay(attempt)
-                    if delay:
-                        time.sleep(delay)
-                    attempt += 1
-                    continue
-                except (ReproError, AssertionError) as err:
-                    # deterministic: simulator/config bugs surface as-is
-                    fault = getattr(err, "fault_report", None)
-                    self._attempt_failed(
-                        reports, failures, plan, attempt,
-                        f"{type(err).__name__}: {err}", transient=False,
-                        started=plan_started,
-                        fault=fault.to_dict() if fault is not None else None)
-                    raise
-                results[plan] = result
-                land_result(
-                    plan, result, events=self.events, cache=self.cache,
-                    index=indices[plan], total=total,
-                    seconds=time.monotonic() - plan_started, attempt=attempt,
-                    trace_hit=(traces is not None
-                               and traces.stats.hits > trace_hits))
-                break
-        return results
-
-    # -- worker pool -----------------------------------------------------
-
-    def _run_pool(self, todo, indices, total, failures, reports, jobs):
-        """Queue-based dispatch over pool worker processes.
-
-        Up to ``jobs`` processes each run one task at a time; a finished
-        worker immediately pulls the next ready plan, so retries land on
-        live warm workers instead of paying a fresh fork (the queue is
-        the reuse mechanism). Supervision is per task: wall-clock
-        ``timeout``, ``heartbeat`` deadline, transient retries with
-        seeded backoff, strike-counted pool failures degrading to
-        serial. Workers recycle — after ``max_tasks_per_worker`` tasks
-        (after every task when ``warm_pool`` is off), on any
-        death/timeout/hang, and on a ``poisoned`` warm-state report —
-        each recycle emitting :class:`WorkerRecycled`.
+        A finished slot immediately takes the next ready plan, so
+        retries land on live warm slots. Supervision is per task:
+        the slot kind's wall-clock and heartbeat budgets, transient
+        retries with seeded backoff, and for pool workers a strike count
+        that degrades the rest of the run to the in-process slot. Plans
+        that remote slots give up on, and the breaker's leftovers, pass
+        again through this same loop on local slots with fresh attempt
+        counters; a run therefore keeps one index and total per plan.
         """
-        ctx = _mp_context()
+        from repro.harness.experiments import ConfigResult
+
+        events = self.events
+        total = len(run.indices)
         # (plan, attempt, ready_at): backoff delays schedule retries
         pending: list[tuple[ExperimentPlan, int, float]] = [
             (plan, 1, 0.0) for plan in todo]
-        results = {}
-        trace_root = (str(self.cache.traces.root)
-                      if self.cache is not None else None)
-        block_root = (str(self.cache.blocks.root)
-                      if self.cache is not None and self.warm_pool else None)
-        max_tasks = self.max_tasks_per_worker if self.warm_pool else 1
-        fault_doc = faults.export()
-        if self.persistent:
-            # Reuse the fleet from prior runs. A changed fault plan
-            # invalidates the workers (they installed the old one at
-            # spawn).
-            if self._pool_workers and self._pool_fault_doc != fault_doc:
-                self.close()
-            self._pool_fault_doc = fault_doc
-            workers = self._pool_workers
-        else:
-            workers = []
+        handoff: list[ExperimentPlan] = []
         strikes = 0       # consecutive pool-level failures
         degraded = False
-        orphans: list[ExperimentPlan] = []
 
-        def spawn() -> dict:
-            task_recv, task_send = ctx.Pipe(duplex=False)
-            res_recv, res_send = ctx.Pipe(duplex=False)
-            inherited = [task_send, res_recv]
-            for other in workers:
-                inherited += (other["task"], other["res"])
-            proc = ctx.Process(
-                target=_pool_worker_main,
-                args=(task_recv, res_send, trace_root, fault_doc,
-                      self.heartbeat, block_root, self._pool_next_slot,
-                      inherited),
-                daemon=True,
-            )
-            proc.start()
-            task_recv.close()
-            res_send.close()
-            worker = {"proc": proc, "task": task_send, "res": res_recv,
-                      "slot": self._pool_next_slot, "tasks": 0,
-                      "current": None}  # [plan, attempt, started, last_beat]
-            self._pool_next_slot += 1
-            workers.append(worker)
-            return worker
-
-        def recycle(worker, reason: str, *, force: bool) -> None:
-            _stop_pool_worker(worker, force=force)
-            workers.remove(worker)
-            self.events.emit(WorkerRecycled(
-                worker=worker["slot"], tasks=worker["tasks"], reason=reason))
-
-        def fail(plan, attempt, started, message, *, transient=True,
-                 fault=None, warm=None) -> None:
-            if self._attempt_failed(reports, failures, plan, attempt,
-                                    message, transient=transient,
-                                    started=started, fault=fault, warm=warm):
+        def fail(plan, attempt, started, message, *, transient, fault=None,
+                 warm=None, record=True) -> None:
+            retry = transient and attempt <= fleet.retries
+            if record:
+                report = run.reports.setdefault(
+                    plan, PlanFailureReport(plan=plan))
+                history = tuple(a.error for a in report.attempts)
+                report.attempts.append(AttemptRecord(
+                    attempt=attempt, error=message, transient=transient,
+                    seconds=time.monotonic() - started, fault=fault,
+                    warm=warm))
+                events.emit(PlanFailed(
+                    plan=plan, error=message, attempt=attempt,
+                    will_retry=retry or (transient and fleet.fallback),
+                    history=history))
+            if retry:
                 pending.append((plan, attempt + 1,
-                                time.monotonic() + self._backoff_delay(attempt)))
+                                time.monotonic() + fleet.delay(attempt)))
+            elif transient and fleet.fallback:
+                handoff.append(plan)
+            else:
+                run.failures[plan] = message
 
-        def kill(worker, message: str, *, strike: bool = False) -> None:
-            """Recycle a faulted worker; its current plan (if any) fails
-            transiently, and ``strike`` counts that toward degrading."""
+        def kill(slot, why: str, message: str) -> None:
+            """End a faulted slot; its task (if any) fails transiently."""
             nonlocal strikes
-            current, was_warm = worker["current"], worker["tasks"] > 0
-            recycle(worker, "fault", force=True)
+            current, was_warm = slot["current"], slot.get("tasks", 0) > 0
+            record = fleet.kill(slot, why)
             if current is not None:
-                strikes += strike
+                if why == "dead" and fleet.breaker:
+                    strikes += 1
                 plan, attempt, started, _beat = current
-                fail(plan, attempt, started, message, warm=was_warm)
-
-        def pop_ready():
-            now = time.monotonic()
-            for i, item in enumerate(pending):
-                if item[2] <= now:
-                    return pending.pop(i)
-            return None
-
-        # a persistent worker that died while idle is swept here rather
-        # than striking against this run
-        for worker in [w for w in workers if not w["proc"].is_alive()]:
-            recycle(worker, "fault", force=True)
+                fail(plan, attempt, started, message, transient=True,
+                     warm=was_warm, record=record)
 
         try:
-            while pending or any(w["current"] is not None for w in workers):
-                # dispatch ready plans onto idle (warm-first) workers
+            while pending or any(s["current"] is not None
+                                 for s in fleet.slots):
+                # start ready plans on idle (warm-first) slots
+                now = time.monotonic()
                 while pending:
-                    idle = next((w for w in workers
-                                 if w["current"] is None), None)
-                    if idle is None and len(workers) >= jobs:
-                        break
-                    item = pop_ready()
-                    if item is None:
+                    ready = next((i for i, item in enumerate(pending)
+                                  if item[2] <= now), None)
+                    if ready is None:
                         break  # retries still backing off
-                    plan, attempt, _ready = item
-                    if idle is None:
-                        idle = spawn()
-                    try:
-                        idle["task"].send({"plan": plan.to_dict(),
-                                           "attempt": attempt})
-                    except Exception:
-                        recycle(idle, "fault", force=True)
+                    slot = fleet.acquire(pending[ready][0])
+                    if slot is None:
+                        break
+                    plan, attempt, _ready = pending.pop(ready)
+                    if not fleet.send(slot, plan, attempt):
+                        fleet.kill(slot, "send")
                         pending.append((plan, attempt, 0.0))
                         continue
-                    self.events.emit(PlanStarted(
-                        plan=plan, index=indices[plan], total=total,
+                    events.emit(PlanStarted(
+                        plan=plan, index=run.indices[plan], total=total,
                         attempt=attempt))
                     now = time.monotonic()
-                    idle["current"] = [plan, attempt, now, now]
+                    slot["current"] = [plan, attempt, now, now]
 
-                time.sleep(_POLL_S)
-                for worker in list(workers):
-                    proc = worker["proc"]
-                    msg = None
-                    closed = False
-                    while worker["res"].poll():
-                        try:
-                            received = worker["res"].recv()
-                        except (EOFError, OSError):
-                            closed = True
-                            break
-                        if isinstance(received, dict) and "hb" in received:
-                            if worker["current"] is not None:
-                                worker["current"][3] = time.monotonic()
-                            continue
-                        msg = received
-                        break
-                    current = worker["current"]
+                fleet.wait()
+                for slot in list(fleet.slots):
+                    msg = fleet.poll(slot)
+                    current = slot["current"]
                     if msg is not None and current is not None:
                         plan, attempt, started, _beat = current
-                        worker["current"] = None
-                        worker["tasks"] += 1
+                        slot["current"] = None
                         self._merge_warm(msg.get("warm_stats"))
                         if msg.get("ok"):
                             strikes = 0
-                            result = results[plan] = decode_result(msg)
+                            result = msg.get("value")
+                            if result is None:  # a result doc off a pipe
+                                result = ConfigResult.from_dict(msg["result"])
+                                result.translation = msg.get("translation")
+                            run.results[plan] = result
                             land_result(
-                                plan, result, events=self.events,
-                                cache=self.cache, index=indices[plan],
+                                plan, result, events=events,
+                                cache=self.cache, index=run.indices[plan],
                                 total=total, seconds=msg.get("seconds", 0.0),
                                 attempt=attempt,
-                                trace_hit=bool(msg.get("trace_hit")))
+                                trace_hit=bool(msg.get("trace_hit")),
+                                fault_context=fleet.fault_context)
                         else:
                             fail(plan, attempt, started,
-                                 msg.get("error", "unknown error"),
+                                 msg.get("error") or "unknown error",
                                  transient=bool(msg.get("transient")),
                                  fault=msg.get("fault"), warm=msg.get("warm"))
-                        if msg.get("poisoned"):
-                            recycle(worker, "poisoned", force=True)
-                        elif max_tasks and worker["tasks"] >= max_tasks:
-                            recycle(worker, "max-tasks", force=False)
+                        fleet.done(slot, msg)
+                        if "raise" in msg:
+                            raise msg["raise"]
                         continue
-                    if closed or not proc.is_alive():
-                        kill(worker, "worker pipe closed unexpectedly"
-                             if closed else
-                             f"worker died (exit code {proc.exitcode})",
-                             strike=True)
+                    dead = fleet.dead(slot)
+                    if dead is not None:
+                        kill(slot, "dead", dead)
                         continue
                     if current is None:
                         continue
                     _plan, _attempt, started, last_beat = current
+                    timeout, heartbeat = fleet.budgets(slot)
                     now = time.monotonic()
-                    if (self.timeout is not None
-                            and now - started > self.timeout):
-                        kill(worker, f"timed out after {self.timeout:g}s")
-                    elif (self.heartbeat is not None
-                          and now - last_beat > self.heartbeat):
-                        kill(worker, f"worker heartbeat lost (silent for "
-                                     f"> {self.heartbeat:g}s)")
+                    if timeout is not None and now - started > timeout:
+                        kill(slot, "timeout", f"timed out after {timeout:g}s")
+                    elif heartbeat is not None and now - last_beat > heartbeat:
+                        kill(slot, "heartbeat", f"worker heartbeat lost "
+                             f"(silent for > {heartbeat:g}s)")
                 if strikes >= POOL_FAILURE_LIMIT:
                     degraded = True
-                    orphans = [w["current"][0] for w in workers
-                               if w["current"] is not None]
+                    handoff += [plan for plan, _a, _r in pending]
+                    handoff += [s["current"][0] for s in fleet.slots
+                                if s["current"] is not None]
                     break
+                if fleet.gone() and not any(s["current"] is not None
+                                            for s in fleet.slots):
+                    handoff += [plan for plan, _a, _r in pending]
+                    pending.clear()
         finally:
-            # A persistent fleet stays warm for the next run() (close()
-            # retires it); a degraded fleet is never kept.
-            if degraded or not self.persistent:
-                self._retire(workers, force=degraded)
+            fleet.close(handoff, degraded)
 
         if degraded:
             # the pool itself is failing (not individual plans): run the
             # remainder in-process, where there is no pipe to break and
-            # no fork to die. Plans restart their attempt counters.
-            leftover = [plan for plan, _a, _r in pending]
-            leftover.extend(orphans)
-            self.events.emit(ExecutorDegraded(
-                failures=strikes, remaining=len(leftover),
+            # no fork to die
+            events.emit(ExecutorDegraded(
+                failures=strikes, remaining=len(handoff),
                 reason="consecutive worker deaths/pipe failures"))
-            results.update(self._run_serial(
-                leftover, indices, total, failures, reports,
-                warm=self._warm_cache() if self.warm_pool else None))
-        return results
+        if handoff:
+            handoff.sort(key=run.indices.get)
+            self._supervise(run, handoff, _InProcess(self) if degraded
+                            else self._local(len(handoff)))
+
+    def _merge_warm(self, delta: dict | None) -> None:
+        for key, value in (delta or {}).items():
+            self._warm_totals[key] = self._warm_totals.get(key, 0) + value

@@ -1,6 +1,6 @@
 """Warm per-process caches for cross-plan reuse in the executor.
 
-A persistent worker (or the serial loop) runs many plans in one
+A persistent worker (or the in-process slot) runs many plans in one
 process. The expensive, *deterministic* work each plan repeats is:
 
 * building the workload image — parse, codegen, assemble, link;
@@ -111,7 +111,7 @@ class WarmCache:
     re-checks on every reuse, plus the on-disk block-source level.
 
     One instance lives for the lifetime of a worker process (or the
-    serial loop). ``take_delta()`` snapshots per-task counter movement
+    in-process slot). ``take_delta()`` snapshots per-task counter movement
     so each attempt can report its own reuse numbers.
     """
 

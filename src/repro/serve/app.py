@@ -48,6 +48,7 @@ from repro.common.errors import ExperimentError, ReproError
 from repro.dist.dispatcher import Dispatcher
 from repro.harness import faults
 from repro.harness.cache import ResultCache
+from repro.harness.checkpoint import new_run_id
 from repro.harness.events import EventBus, TimingCollector
 from repro.harness.executor import Executor
 from repro.harness.plan import suite_from_params, suite_params_doc
@@ -207,15 +208,14 @@ class ServeApp:
         self.dist_port = dist_port
         self.dist_addr: tuple[str, int] | None = None
         self.dispatcher = Dispatcher(
-            executor=self.executor, cache=self.cache, events=self.bus,
-            lease_timeout=lease_timeout, node_heartbeat=node_heartbeat)
+            executor=self.executor, lease_timeout=lease_timeout,
+            node_heartbeat=node_heartbeat)
         self.queue = JobQueue(queue_limit)
         self.quotas = Quotas(client_quota)
         self.broker = SSEBroker(sse_queue)
         self.drain_grace = drain_grace
         self.jobs: dict[str, Job] = {}
         self._jobs_lock = threading.Lock()
-        self._seq = 0
         self._current_job = ""
         self._running = False    # dispatcher alive
         self._ready = False      # accepting submissions
@@ -241,9 +241,7 @@ class ServeApp:
     # -- admission -------------------------------------------------------
 
     def _new_job_id(self) -> str:
-        self._seq += 1
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        return f"j{stamp}-{os.getpid()}-{self._seq:04d}"
+        return "j" + new_run_id()
 
     def submit(self, doc: dict) -> tuple[int, dict, dict]:
         """Admit one submission; returns (http_status, body, headers).
@@ -284,25 +282,11 @@ class ServeApp:
             priority=priority,
             deadline=(None if job_timeout is None
                       else time.monotonic() + job_timeout))
-        try:
-            # The queue-full *race*: capacity vanishing between the
-            # admission check and the push is modelled by an injected
-            # transient at this exact point.
-            faults.check_daemon("serve", kinds=("transient",))
-            self.queue.push(job)
-        except QueueFullError as err:
-            self.quotas.release(client)
-            return 429, {"error": str(err)}, {
-                "Retry-After": str(err.retry_after)}
-        except faults.InjectedTransientError as err:
-            self.quotas.release(client)
-            return 429, {"error": f"admission race lost ({err}); retry"}, \
-                retry
-        with self._jobs_lock:
-            self.jobs[job.id] = job
-        # Journal at admission, not at dispatch: a 202 means the job is
+        # Journal at admission, before the push: a 202 means the job is
         # durable, so a drain (or crash) with this job still *queued*
-        # leaves it recoverable on the next start.
+        # leaves it recoverable on the next start, and the dispatcher
+        # never pops a job whose journal is still being created.
+        journal = None
         try:
             journal = JobJournal.create(
                 self.cache.root, params,
@@ -312,6 +296,23 @@ class ServeApp:
             journal.close()
         except Exception:  # noqa: BLE001 — admission must not fail on
             pass           # journal hiccups; dispatch re-creates it
+        try:
+            # The queue-full *race*: capacity vanishing between the
+            # admission check and the push is modelled by an injected
+            # transient at this exact point.
+            faults.check_daemon("serve", kinds=("transient",))
+            self.queue.push(job)
+        except (QueueFullError, faults.InjectedTransientError) as err:
+            self.quotas.release(client)
+            if journal is not None:  # never admitted
+                journal.path.unlink(missing_ok=True)
+            if isinstance(err, QueueFullError):
+                return 429, {"error": str(err)}, {
+                    "Retry-After": str(err.retry_after)}
+            return 429, {"error": f"admission race lost ({err}); retry"}, \
+                retry
+        with self._jobs_lock:
+            self.jobs[job.id] = job
         self._publish_job(job)
         return 202, {"job": job.id, "state": job.state,
                      "queue_depth": self.queue.depth()}, {}

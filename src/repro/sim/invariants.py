@@ -17,8 +17,7 @@ execution regardless of the program:
 Violations raise :class:`InvariantViolation` (a
 :class:`SimulationError`, so the post-mortem machinery captures full
 state). The checker is the differential fuzzer's per-step oracle; it is
-opt-in because, like any probe, it forces the interpreter path —
-``bench_emucore.py --mode checked`` tracks its slowdown.
+opt-in because, like any probe, it forces the interpreter path.
 """
 
 from __future__ import annotations

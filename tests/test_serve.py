@@ -192,6 +192,12 @@ class TestAdmission:
     """Admission-control paths, with no dispatcher draining the queue
     (``_running`` forced on) so queue occupancy is deterministic."""
 
+    @pytest.fixture
+    def make_app(self, make_app, tmp_path):
+        """Jobs admitted here mostly never run: their journals stay in
+        this test's own cache, not the module's shared one."""
+        return lambda **kw: make_app(cache_dir=tmp_path / "cache", **kw)
+
     def test_quota_429_with_retry_after(self, make_app):
         app = make_app(client_quota=1, queue_limit=8)
         app._running = True
