@@ -33,6 +33,16 @@ cells, no access spanning two cells) it advances the chains over all
 ``k`` executions with numpy, one array step per instruction, plain and
 scaled depths stacked as two rows (see :func:`_cpv_source`). Cell depths
 live in the engine's dense store, indexed directly by both functions.
+
+A third, *window* stitch advances only the plain depth row, always
+breaking on zero, over the cell lists of a non-spanning flush (see
+:func:`_cpw_source`): the engine computes a windowed-CP window that no
+memo answers from the block executions it covers, on a window-local
+cell store.
+
+Generated functions are cached by the summary content their source
+reads, so the fresh summaries each run builds for the same blocks reuse
+them without regenerating any source.
 """
 
 from __future__ import annotations
@@ -40,17 +50,28 @@ from __future__ import annotations
 from operator import itemgetter
 
 from repro.analysis.critpath import _MEM_BASE, mem_cells
+from repro.isa.base import InstructionGroup
 
 __all__ = ["BlockSummary", "build_summary"]
+
+#: Every group's weight in the plain critical path.
+_UNIT_WEIGHTS = (1,) * len(InstructionGroup)
 
 #: Composite window-item key layout; must match repro.analysis.engine.
 _IDX_SHIFT = 24
 _RC_SHIFT = 12
 
-#: Generated chain-stitch source -> code object (sources are
-#: deterministic per block content, so repeated runs and the many
-#: configurations over one binary share compiles).
+#: The stitch compile cache, one map for both levels: generated
+#: functions keyed by what their source reads (kind, weights,
+#: break-on-zero and the summary's dependence and access template), and
+#: code objects keyed by source text (filled by compiles and by sources
+#: preloaded from the block store). Summaries of the same block content
+#: share functions across runs and configurations; clearing the map
+#: makes the next run generate and compile every source again.
 _CP_CODE_CACHE: dict = {}
+
+#: Entries in :data:`_CP_CODE_CACHE` before it is cleared.
+_CP_CACHE_MAX_ENTRIES = 16384
 
 #: Bump whenever the generated chain-stitch source shape changes; part
 #: of the persistent block-cache key (stale on-disk sources orphan
@@ -101,7 +122,7 @@ def preload_cp_sources(sources) -> int:
             code = compile(source, "<block-summary-cp>", "exec")
         except (SyntaxError, ValueError):
             continue
-        if len(_CP_CODE_CACHE) > 16384:
+        if len(_CP_CODE_CACHE) > _CP_CACHE_MAX_ENTRIES:
             _CP_CODE_CACHE.clear()
         _CP_CODE_CACHE[source] = code
         loaded += 1
@@ -121,7 +142,7 @@ class BlockSummary:
     __slots__ = (
         "length", "idxs", "deps", "rcounts", "wcounts", "rsizes", "wsizes",
         "n_reads", "n_writes", "keys", "rends_rel", "wends_rel",
-        "rends_np", "wends_np", "_cp_fns",
+        "rends_np", "wends_np", "window_items", "_cp_fns",
     )
 
     def __init__(self, insts, idxs, roffs, woffs, rsizes, wsizes):
@@ -158,7 +179,31 @@ class BlockSummary:
         self.wends_rel = tuple(woffs)
         self.rends_np = np.array(roffs, dtype=np.int64)
         self.wends_np = np.array(woffs, dtype=np.int64)
+        #: per-instruction ``(srcs, dsts, reads, writes)`` for walking a
+        #: partial execution at a window's end
+        self.window_items = tuple(
+            (srcs, dsts, rc, wc)
+            for (srcs, dsts, _g), rc, wc in zip(self.deps, rcounts, wcounts))
+        #: stitch functions by configuration (a front for the shared,
+        #: content-keyed :data:`_CP_CODE_CACHE`)
         self._cp_fns: dict = {}
+
+    def _stitch_fn(self, key: tuple, compile_fn, weights, break_on_zero):
+        """The stitch function of configuration ``key`` from the shared
+        map, compiled by ``compile_fn`` on a miss (it may be None: the
+        block does not qualify)."""
+        content = (key, self.deps, self.rcounts, self.wcounts, self.rsizes,
+                   self.wsizes)
+        try:
+            fn = _CP_CODE_CACHE[content]
+            _CP_STATS["hits"] += 1
+        except KeyError:
+            fn = compile_fn(self, weights, break_on_zero)
+            if len(_CP_CODE_CACHE) > _CP_CACHE_MAX_ENTRIES:
+                _CP_CODE_CACHE.clear()
+            _CP_CODE_CACHE[content] = fn
+        self._cp_fns[key] = fn
+        return fn
 
     def cp_fn(self, weights: tuple, break_on_zero: bool):
         """The chain-stitch function for this latency configuration.
@@ -176,8 +221,7 @@ class BlockSummary:
         key = (weights, break_on_zero)
         fn = self._cp_fns.get(key)
         if fn is None:
-            fn = _compile_cp_fn(self, weights, break_on_zero)
-            self._cp_fns[key] = fn
+            fn = self._stitch_fn(key, _compile_cp_fn, weights, break_on_zero)
         return fn
 
     def cp_vec_fn(self, weights: tuple, break_on_zero: bool):
@@ -201,9 +245,27 @@ class BlockSummary:
         try:
             return self._cp_fns[key]
         except KeyError:
-            fn = self._cp_fns[key] = _compile_cpv_fn(self, weights,
-                                                     break_on_zero)
-            return fn
+            return self._stitch_fn(key, _compile_cpv_fn, weights,
+                                   break_on_zero)
+
+    def cpw_fn(self):
+        """The window stitch function: plain depths only, breaking on
+        zero, over the cells of a non-spanning flush (no access spans two
+        cells).
+
+        Signature of the returned function::
+
+            fn(k, rc, wc, r, w, rp, mp, bp) -> best
+
+        ``rc``/``wc`` are the flush's read/write cell lists (address
+        ``>> 3``), ``r``/``w`` the first of this block's accesses in
+        them, ``rp`` the register depths (updated in place) and ``mp``
+        the cell depths, indexed by cell.
+        """
+        try:
+            return self._cp_fns["win"]
+        except KeyError:
+            return self._stitch_fn("win", _compile_cpw_fn, None, True)
 
 
 def build_summary(insts, idxs, roffs, woffs, rsizes, wsizes) -> BlockSummary:
@@ -419,6 +481,66 @@ def _cp_source(summary: BlockSummary, weights: tuple,
     lines.append("    for _ in range(k):")
     lines.extend("        " + line for line in body)
     lines.extend("    " + line for line in tail)
+    return "\n".join(lines)
+
+
+def _cpw_source(summary: BlockSummary) -> str:
+    """Generate the window stitch source for one block summary: the
+    plain depth row of :func:`_cp_source` only, breaking on zero, with
+    cells read straight from the flush's cell lists (no access of a
+    non-spanning flush spans two cells). Names as in :func:`_cp_source`.
+    """
+    deps = summary.deps
+    written: set[int] = set()
+    read_regs: set[int] = set()
+    for srcs, dsts, _g in deps:
+        read_regs.update(srcs)
+        written.update(dsts)
+
+    def reg(t):
+        return f"g{t}" if t in written else f"p{t}"
+
+    head = [f"g{t} = rp[{t}]" for t in sorted(written)]
+    head += [f"p{t} = rp[{t}]" for t in sorted(read_regs - written)]
+    dominated = _dominated(deps, _UNIT_WEIGHTS, True)
+    body: list[str] = []
+    ri = 0
+    wi = 0
+    for i, (srcs, dsts, _g) in enumerate(deps):
+        terms = list(dict.fromkeys(reg(s) for s in srcs))
+        for _ in range(summary.rcounts[i]):
+            body.append(f"t{ri} = mp[rc[r + {ri}]]")
+            terms.append(f"t{ri}")
+            ri += 1
+        if dominated[i] and len(dsts) == 1 and not summary.wcounts[i]:
+            # straight into the chain-head local (see _cp_source)
+            tp = f"g{dsts[0]}"
+            if tp in terms:
+                terms.insert(0, terms.pop(terms.index(tp)))
+            body.extend(_max_expr(tp, terms, 1))
+            continue
+        body.extend(_max_expr(f"d{i}", terms, 1))
+        body.extend(f"g{t} = d{i}" for t in dsts)
+        for _ in range(summary.wcounts[i]):
+            body.append(f"mp[wc[w + {wi}]] = d{i}")
+            wi += 1
+    cand = [i for i in range(summary.length) if not dominated[i]]
+    if len(cand) <= 8:
+        body.extend(f"if d{i} > bp: bp = d{i}" for i in cand)
+    else:
+        body.append(f"_b = max({', '.join(f'd{i}' for i in cand)})")
+        body.append("if _b > bp: bp = _b")
+    if summary.n_reads:
+        body.append(f"r += {summary.n_reads}")
+    if summary.n_writes:
+        body.append(f"w += {summary.n_writes}")
+    tail = [f"rp[{t}] = g{t}" for t in sorted(written)]
+    lines = ["def _cpw(k, rc, wc, r, w, rp, mp, bp):"]
+    lines.extend("    " + line for line in head)
+    lines.append("    for _ in range(k):")
+    lines.extend("        " + line for line in body)
+    lines.extend("    " + line for line in tail)
+    lines.append("    return bp")
     return "\n".join(lines)
 
 
@@ -781,7 +903,7 @@ def _compile_source(source: str):
     code = _CP_CODE_CACHE.get(source)
     if code is None:
         _CP_STATS["misses"] += 1
-        if len(_CP_CODE_CACHE) > 16384:
+        if len(_CP_CODE_CACHE) > _CP_CACHE_MAX_ENTRIES:
             _CP_CODE_CACHE.clear()
         code = compile(source, "<block-summary-cp>", "exec")
         _CP_CODE_CACHE[source] = code
@@ -798,6 +920,13 @@ def _compile_cp_fn(summary: BlockSummary, weights: tuple,
     namespace = {"_mc": mem_cells}
     exec(code, namespace)  # noqa: S102
     return namespace["_cps"]
+
+
+def _compile_cpw_fn(summary: BlockSummary, _weights, _break_on_zero):
+    code = _compile_source(_cpw_source(summary))
+    namespace: dict = {}
+    exec(code, namespace)  # noqa: S102
+    return namespace["_cpw"]
 
 
 def _compile_cpv_fn(summary: BlockSummary, weights: tuple,

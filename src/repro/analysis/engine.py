@@ -29,8 +29,9 @@ instruction mix, and all windowed-CP sizes — in one pass:
   alias pattern of its memory cells, which loops repeat almost exactly.
   The memo key is built from C-speed list slices (composite item keys
   plus cell-to-cell deltas), so repeated loop windows cost a tuple hash
-  instead of a full dependence-graph walk. On STREAM with the paper
-  windows it answers ~98.7% of the lookups the flush memo leaves it.
+  instead of a full dependence-graph walk. On STREAM at scale 2.0 with
+  the paper windows it answers 93.7% of the lookups the phase table and
+  the flush memo leave it (19,274 of 20,563 over both ISAs).
 * on top of the per-window memo each window state has a *flush memo*:
   the translated batched core flushes at block boundaries, so during a
   steady loop successive flushes repeat exactly (same events, same
@@ -58,6 +59,18 @@ instruction mix, and all windowed-CP sizes — in one pass:
   range. A rejected run, a window straddling a run boundary, a SoA
   segment, a spanning flush and the per-retirement ``on_batch`` stream
   all take the memo paths above unchanged.
+* non-spanning flushes are *held by reference* (events, cell lists and
+  where they start), not emitted item by item into the rolling buffers
+  the memo keys slice: the buffers are filled only when some state
+  reaches the flush memo, at a spanning flush and in ``results()``.
+  While the phase table answers every state, a flush costs no item
+  work at all.
+* a window no memo answers (and a phase-table fill) is *stitched* from
+  the held flushes' block executions: whole executions go through the
+  block's generated window stitch on a window-local cell store, and only
+  the partial executions at the window's two ends and SoA segments are
+  walked item by item. The item walk (``_window_cp``) stays the oracle
+  and serves windows the held flushes do not cover.
 
 Results are exactly equal — field by field, including dict insertion
 order — to the legacy probes'; ``tests/test_fused_engine.py`` enforces
@@ -119,6 +132,11 @@ _PHASE_TABLE = True
 
 #: Cached per-phase window periods before the cache is cleared.
 _PERIODS_MAX_ENTRIES = 4096
+
+#: Compute windows no memo answers from the block executions of the
+#: retained flushes (see :meth:`FusedAnalysisEngine._stitch_window`).
+#: Results do not depend on it; tests switch it off to compare.
+_WINDOW_STITCH = True
 
 #: Stitch alias-free block events in one numpy step (see
 #: :meth:`repro.analysis.blocksummary.BlockSummary.cp_vec_fn`).
@@ -202,6 +220,70 @@ class _WState:
         self.result = WindowedCPResult(window_size=size, min_cp=0)
         self.keep_cps = keep_cps
 
+
+class _Flush:
+    """One non-spanning flush held by reference: its events (and SoA
+    arrays), its read and write cells and where it starts in the item
+    and cell streams. Enough to emit its window items into the rolling
+    buffers later, or to stitch windows from its block executions."""
+
+    __slots__ = ("base", "end", "summaries", "events", "indices",
+                 "read_ends", "write_ends", "rcells", "wcells", "rtot",
+                 "wtot", "prev_r", "prev_w", "_deltas")
+
+    def __init__(self, base, end, summaries, events, indices, read_ends,
+                 write_ends, rcells, wcells, rtot, wtot, prev_r, prev_w):
+        self.base = base
+        self.end = end
+        self.summaries = summaries
+        self.events = events
+        self.indices = indices
+        self.read_ends = read_ends
+        self.write_ends = write_ends
+        self.rcells = rcells
+        self.wcells = wcells
+        self.rtot = rtot
+        self.wtot = wtot
+        #: the last read/write cell of the stream before this flush
+        self.prev_r = prev_r
+        self.prev_w = prev_w
+        self._deltas = None
+
+    def deltas(self) -> tuple[list, list]:
+        """Read and write cell deltas, the first one linking to the cell
+        before the flush."""
+        if self._deltas is None:
+            self._deltas = (
+                FusedAnalysisEngine._cell_deltas(self.rcells, self.prev_r),
+                FusedAnalysisEngine._cell_deltas(self.wcells, self.prev_w))
+        return self._deltas
+
+
+def _walk_items(items, rc, wc, r, w, rp, mp, best):
+    """Advance plain register depths ``rp`` and cell depths ``mp`` over
+    ``(srcs, dsts, reads, writes)`` items whose cells start at ``rc[r]``
+    and ``wc[w]``, breaking on zero; returns ``(best, w)``, ``w`` past
+    the items' writes."""
+    for srcs, dsts, nr, nw in items:
+        d = 0
+        for x in srcs:
+            v = rp[x]
+            if v > d:
+                d = v
+        for _ in range(nr):
+            v = mp[rc[r]]
+            r += 1
+            if v > d:
+                d = v
+        d += 1
+        for t in dsts:
+            rp[t] = d
+        for _ in range(nw):
+            mp[wc[w]] = d
+            w += 1
+        if d > best:
+            best = d
+    return best, w
 
 
 def _events_to_soa(summaries, events, indices, read_ends, write_ends):
@@ -352,6 +434,22 @@ class FusedAnalysisEngine:
         self._wc_base = 0
         self._prev_rcell = 0
         self._prev_wcell = 0
+        #: Items and read/write cells ingested so far.
+        self._items = 0
+        self._rtotal = 0
+        self._wtotal = 0
+        #: Flushes held by reference, in item order, back to the first
+        #: one a window can still reach; the buffers above hold items
+        #: from ``_key_base`` up to some flush boundary, the flushes
+        #: after it are not emitted yet (see :meth:`_materialize`).
+        #: Cleared by a spanning flush, which is never held.
+        self._refs: list[_Flush] = []
+        #: Window-local cell depths for :meth:`_stitch_window`, indexed
+        #: by cell; allocated on first use, all zero between windows.
+        self._scratch = None
+        self.stitched_windows = 0
+        self.stitched_items = 0
+        self.walked_items = 0
         self._memo: dict = {}
         self._memo_items = 0
         self.memo_hits = 0
@@ -396,6 +494,7 @@ class FusedAnalysisEngine:
         self._store = store
         self._mem_p = flat[:cells]
         self._mem_s = flat[cells:]
+        self._scratch = None
 
     # -- batch ingestion -------------------------------------------------
 
@@ -769,11 +868,14 @@ class FusedAnalysisEngine:
         answering each state's windows from the phase table or replaying
         them from its flush memo when it can.
 
-        The windows a state completes in this flush see only the items
-        from its ``next_start`` on: its carry (buffered items it has not
-        consumed yet) followed by the flush. When all of them lie inside
-        the alias-free run holding the flush's first item, the phase
-        table folds them (see the module docstring). Otherwise the
+        The flush is held by reference (a :class:`_Flush`), not emitted
+        into the rolling buffers: only a state that reaches the flush
+        memo needs buffered items. The windows a state completes in this
+        flush see only the items from its ``next_start`` on: its carry
+        (items it has not consumed yet) followed by the flush. When all
+        of them lie inside the alias-free run holding the flush's first
+        item, the phase table folds them (see the module docstring).
+        Otherwise the held flushes before this one are emitted and the
         state's signature pins those items up to translating the cell
         streams: the flush content (events plus SoA indices and ends fix
         every item's key; then the flush's internal cell deltas), the
@@ -786,40 +888,48 @@ class FusedAnalysisEngine:
         window-CP sequence, and the memo of the state's ``(size, slide)``
         replays it as one ``(cps, sum, max, min)`` record. Per-retirement
         batches arrive as a flush holding one SoA segment, so both paths
-        share one signature family. When every state is answered, the
-        flush's items are never materialized beyond the still-unconsumed
-        tail. A state none of whose windows ends in the flush needs no
-        lookup at all.
+        share one signature family. Only a memo miss emits this flush
+        too, to compute the state's windows. A state none of whose
+        windows ends in the flush needs no lookup at all.
         """
         rcells = [a >> 3 for a, _ in reads]
         wcells = [a >> 3 for a, _ in writes]
-        rdelta = wdelta = None
-        rbuf = self._rcells
-        wbuf = self._wcells
-        rc_base = self._rc_base
-        wc_base = self._wc_base
-        item_base = self._key_base + len(self._keys)
-        rtot = rc_base + len(rbuf)
-        wtot = wc_base + len(wbuf)
-        pending = []
-        keys = self._keys
-        rends = self._rends
-        wends = self._wends
-        flush = None
+        item_base = self._items
         end = item_base + count
+        ref = _Flush(item_base, end, summaries, tuple(events),
+                     tuple(indices), tuple(read_ends), tuple(write_ends),
+                     rcells, wcells, self._rtotal, self._wtotal,
+                     self._prev_rcell, self._prev_wcell)
+        self._refs.append(ref)
+        self._items = end
+        self._rtotal += len(rcells)
+        self._wtotal += len(wcells)
+        if rcells:
+            self._prev_rcell = rcells[-1]
+        if wcells:
+            self._prev_wcell = wcells[-1]
         head = (self._track_runs(summaries, events, rcells, wcells,
                                  item_base)
                 if summaries is not None and _PHASE_TABLE else None)
+        pending = []
+        flush = None
         for st in self._wstates:
             if st.next_start + st.size > end:
                 continue
             if head is not None and self._phase_fold(st, head, end):
                 continue
             if flush is None:
-                rdelta = self._cell_deltas(rcells, self._prev_rcell)
-                wdelta = self._cell_deltas(wcells, self._prev_wcell)
-                flush = (tuple(events), tuple(indices), tuple(read_ends),
-                         tuple(write_ends), tuple(rdelta[1:]),
+                self._materialize(item_base)
+                keys = self._keys
+                rends = self._rends
+                wends = self._wends
+                rbuf = self._rcells
+                wbuf = self._wcells
+                rc_base = self._rc_base
+                wc_base = self._wc_base
+                rdelta, wdelta = ref.deltas()
+                flush = (ref.events, ref.indices, ref.read_ends,
+                         ref.write_ends, tuple(rdelta[1:]),
                          tuple(wdelta[1:]))
                 rlink = rdelta[0] if rcells else None
                 wlink = wdelta[0] if wcells else None
@@ -848,53 +958,79 @@ class FusedAnalysisEngine:
                 self.batch_memo_hits += 1
                 self._apply_record(st, record)
 
-        skip = min(st.next_start for st in self._wstates) - item_base
-        # with every state answered past the pre-flush items, rebuild the
-        # buffers as exactly the unconsumed flush tail (extending with the
-        # whole flush only to trim it later touches ~50x more items)
-        tail = not pending and skip >= 0
-        if tail:
+        if pending:
+            self._materialize(end)
+            for st, memo, sig in pending:
+                record = self._state_record(st)
+                if len(memo) >= _FLUSH_MEMO_MAX_ENTRIES:
+                    memo.clear()
+                memo[sig] = record
+                self._apply_record(st, record)
+        needed = min(st.next_start for st in self._wstates)
+        refs = self._refs
+        while refs and refs[0].end <= needed:
+            del refs[0]
+        self._trim()
+
+    def _materialize(self, stop: int) -> None:
+        """Emit the held flushes before item ``stop`` (a flush boundary)
+        into the rolling buffers, extending them to ``stop``.
+
+        When no window can reach a buffered item any more, the buffers
+        restart at the first item one still needs, so a flush the states
+        have mostly consumed is emitted from there on only."""
+        mat = self._key_base + len(self._keys)
+        if mat >= stop:
+            return
+        needed = min(st.next_start for st in self._wstates)
+        restart = needed >= mat
+        rtot = self._rtotal
+        wtot = self._wtotal
+        for ref in self._refs:
+            if ref.base >= stop:
+                rtot = ref.rtot
+                wtot = ref.wtot
+                break
+            if ref.end <= (needed if restart else mat):
+                continue
+            rdelta, wdelta = ref.deltas()
+            if restart:
+                restart = False
+                self._keys = []
+                self._rends = []
+                self._wends = []
+                pr, pw = self._emit_items(
+                    ref.summaries, ref.events, ref.indices, ref.read_ends,
+                    ref.write_ends, needed - ref.base, ref.rtot, ref.wtot,
+                    self._keys, self._rends, self._wends)
+                self._rcells = ref.rcells[pr:]
+                self._rdeltas = rdelta[pr:]
+                self._wcells = ref.wcells[pw:]
+                self._wdeltas = wdelta[pw:]
+                self._key_base = needed
+                self._rc_base = ref.rtot + pr
+                self._wc_base = ref.wtot + pw
+            else:
+                self._emit_items(
+                    ref.summaries, ref.events, ref.indices, ref.read_ends,
+                    ref.write_ends, 0, ref.rtot, ref.wtot,
+                    self._keys, self._rends, self._wends)
+                self._rcells.extend(ref.rcells)
+                self._rdeltas.extend(rdelta)
+                self._wcells.extend(ref.wcells)
+                self._wdeltas.extend(wdelta)
+        if restart:
+            # every held flush before ``stop`` is consumed
             self._keys = []
             self._rends = []
             self._wends = []
-        pr, pw = self._emit_items(
-            summaries, events, indices, read_ends, write_ends,
-            skip if tail else 0, rtot, wtot,
-            self._keys, self._rends, self._wends)
-        if tail:
-            self._rcells = rcells[pr:]
-            self._wcells = wcells[pw:]
-            if rdelta is None:
-                self._rdeltas = self._cell_deltas(
-                    self._rcells, rcells[pr - 1] if pr else self._prev_rcell)
-                self._wdeltas = self._cell_deltas(
-                    self._wcells, wcells[pw - 1] if pw else self._prev_wcell)
-            else:
-                self._rdeltas = rdelta[pr:]
-                self._wdeltas = wdelta[pw:]
-            self._key_base = item_base + skip
-            self._rc_base = rtot + pr
-            self._wc_base = wtot + pw
-        else:
-            if rdelta is None:
-                rdelta = self._cell_deltas(rcells, self._prev_rcell)
-                wdelta = self._cell_deltas(wcells, self._prev_wcell)
-            rbuf.extend(rcells)
-            self._rdeltas.extend(rdelta)
-            wbuf.extend(wcells)
-            self._wdeltas.extend(wdelta)
-        if rcells:
-            self._prev_rcell = rcells[-1]
-        if wcells:
-            self._prev_wcell = wcells[-1]
-        for st, memo, sig in pending:
-            record = self._state_record(st)
-            if len(memo) >= _FLUSH_MEMO_MAX_ENTRIES:
-                memo.clear()
-            memo[sig] = record
-            self._apply_record(st, record)
-        if not tail:
-            self._trim()
+            self._rcells = []
+            self._rdeltas = []
+            self._wcells = []
+            self._wdeltas = []
+            self._key_base = stop
+            self._rc_base = rtot
+            self._wc_base = wtot
 
     def _state_record(self, st: _WState) -> tuple:
         """``(cps, sum, max, min)`` of ``st``'s not yet consumed windows
@@ -1072,7 +1208,11 @@ class FusedAnalysisEngine:
         boundary, so post-expansion cell counts differ from the raw
         access counts and the flush content no longer determines the
         composite keys. Expand via numpy and consume windows directly,
-        bypassing the flush memo."""
+        bypassing the flush memo. It is never held: the flushes held so
+        far are emitted first, and the stitch serves no window that
+        reaches back over it."""
+        self._materialize(self._items)
+        self._refs.clear()
         rend = np.fromiter(read_ends, np.int64, count)
         wend = np.fromiter(write_ends, np.int64, count)
         rc_a, rends_items = self._expand_cells(reads, read_ends[count - 1],
@@ -1100,6 +1240,9 @@ class FusedAnalysisEngine:
             self._prev_wcell = wcells[-1]
             self._wcells.extend(wcells)
             self._wdeltas.extend(wdelta)
+        self._items += count
+        self._rtotal += len(rcells)
+        self._wtotal += len(wcells)
         for st in self._wstates:
             self._apply_record(st, self._state_record(st))
         self._trim()
@@ -1129,7 +1272,9 @@ class FusedAnalysisEngine:
             self.memo_hits += 1
             return cp
         self.memo_misses += 1
-        cp = self._window_cp(ka, kb, rlo, wlo)
+        cp = self._stitch_window(start, start + size)
+        if cp is None:
+            cp = self._window_cp(ka, kb, rlo, wlo)
         if self._memo_items < _MEMO_MAX_ITEMS:
             self._memo[key] = cp
             self._memo_items += size
@@ -1149,6 +1294,7 @@ class FusedAnalysisEngine:
         r = rlo
         w = wlo
         best = 0
+        self.walked_items += kb - ka
         for p in range(ka, kb):
             k = keys[p]
             idx = k >> _IDX_SHIFT
@@ -1172,10 +1318,136 @@ class FusedAnalysisEngine:
                 best = d
         return best
 
+    def _stitch_window(self, start: int, stop: int) -> int | None:
+        """CP of items ``[start, stop)`` from the block executions of the
+        held flushes, or None when they do not hold all of them as block
+        events and SoA segments (the stitch is off, a spanning flush or a
+        per-retirement batch intervenes).
+
+        Equal to :meth:`_window_cp`: the window starts from zero register
+        and cell depths. Whole executions of a block go through its
+        generated window stitch (:meth:`BlockSummary.cpw_fn`); only the
+        partial executions at the window's two ends and SoA segments are
+        walked item by item. Cell depths live in a window-local scratch
+        store, a private anonymous ``mmap`` like the engine's store, so
+        only the pages of cells some stitched window stores to become
+        resident; the cells the window wrote are zeroed afterwards."""
+        if not _WINDOW_STITCH:
+            return None
+        held = []
+        for ref in self._refs:
+            if ref.base >= stop:
+                break
+            if ref.end > start:
+                if ref.summaries is None:
+                    return None
+                held.append(ref)
+        if not held or held[0].base > start:
+            return None
+        mp = self._scratch
+        if mp is None:
+            cells = self._store.shape[1]
+            buf = mmap.mmap(-1, 8 * cells, flags=mmap.MAP_PRIVATE)
+            mp = self._scratch = memoryview(buf).cast("q")
+        srcs_t = self._srcs
+        dsts_t = self._dsts
+        rp = [0] * NUM_DEP_REGS
+        best = 0
+        stitched = 0
+        walked = 0
+        wrote = []
+        for ref in held:
+            summaries = ref.summaries
+            events = ref.events
+            rc = ref.rcells
+            wc = ref.wcells
+            pos = ref.base
+            r = w = si = 0
+            w0 = None
+            for i in range(0, len(events), 2):
+                if pos >= stop:
+                    break
+                bid = events[i]
+                k = events[i + 1]
+                if bid < 0:
+                    sj = si + k
+                    ends_r = ref.read_ends
+                    ends_w = ref.write_ends
+                    if pos + k > start:
+                        lo = si + (start - pos if start > pos else 0)
+                        hi = si + (stop - pos if stop - pos < k else k)
+                        r1 = ends_r[lo - 1] if lo > si else r
+                        w1 = ends_w[lo - 1] if lo > si else w
+                        if w0 is None:
+                            w0 = w1
+                        items = []
+                        for p in range(lo, hi):
+                            idx = ref.indices[p]
+                            items.append((srcs_t[idx], dsts_t[idx],
+                                          ends_r[p] - r1, ends_w[p] - w1))
+                            r1 = ends_r[p]
+                            w1 = ends_w[p]
+                        best, _ = _walk_items(
+                            items, rc, wc, ends_r[lo - 1] if lo > si else r,
+                            ends_w[lo - 1] if lo > si else w, rp, mp, best)
+                        walked += hi - lo
+                    pos += k
+                    r = ends_r[sj - 1]
+                    w = ends_w[sj - 1]
+                    si = sj
+                    continue
+                s = summaries[bid]
+                L = s.length
+                R = s.n_reads
+                W = s.n_writes
+                n = k * L
+                if pos + n > start:
+                    e0, i0 = divmod(start - pos if start > pos else 0, L)
+                    e1, i1 = divmod(stop - pos if stop - pos < n else n, L)
+                    if i0 or e0 == e1:
+                        # a partial execution at the head (the whole
+                        # window when it ends in the same execution)
+                        j = i1 if e0 == e1 else L
+                        wa = w + e0 * W + (s.wends_rel[i0 - 1] if i0 else 0)
+                        if w0 is None:
+                            w0 = wa
+                        best, w1 = _walk_items(
+                            s.window_items[i0:j], rc, wc,
+                            r + e0 * R + (s.rends_rel[i0 - 1] if i0 else 0),
+                            wa, rp, mp, best)
+                        walked += j - i0
+                        e0 += 1
+                    if e1 >= e0:
+                        if w0 is None:
+                            w0 = w + e0 * W
+                        if e1 > e0:
+                            best = s.cpw_fn()(e1 - e0, rc, wc, r + e0 * R,
+                                              w + e0 * W, rp, mp, best)
+                            stitched += (e1 - e0) * L
+                        w1 = w + e1 * W
+                        if i1:
+                            # a partial execution at the tail
+                            best, w1 = _walk_items(
+                                s.window_items[:i1], rc, wc, r + e1 * R,
+                                w1, rp, mp, best)
+                            walked += i1
+                pos += n
+                r += k * R
+                w += k * W
+            if w0 is not None:
+                wrote.append((wc, w0, w1))
+        for wc, w0, w1 in wrote:
+            for c in wc[w0:w1]:
+                mp[c] = 0
+        self.stitched_windows += 1
+        self.stitched_items += stitched
+        self.walked_items += walked
+        return best
+
     def _trim(self) -> None:
         """Drop buffer prefixes no window can reach anymore."""
         needed = min(st.next_start for st in self._wstates)
-        drop = needed - self._key_base
+        drop = min(needed, self._key_base + len(self._keys)) - self._key_base
         if drop < 4096:
             return
         new_rc = self._rends[drop - 1]
@@ -1202,16 +1474,19 @@ class FusedAnalysisEngine:
         windowed = None
         if self._wstates:
             windowed = {}
-            total_items = self._key_base + len(self._keys)
+            total_items = self._items
+            self._materialize(total_items)
             for st in self._wstates:
                 if st.next_start < total_items:
-                    ka = st.next_start - self._key_base
-                    rlo = ((self._rends[ka - 1] if ka else self._rc_base)
-                           - self._rc_base)
-                    wlo = ((self._wends[ka - 1] if ka else self._wc_base)
-                           - self._wc_base)
-                    cp = self._window_cp(ka, total_items - self._key_base,
-                                         rlo, wlo)
+                    cp = self._stitch_window(st.next_start, total_items)
+                    if cp is None:
+                        ka = st.next_start - self._key_base
+                        rlo = ((self._rends[ka - 1] if ka
+                                else self._rc_base) - self._rc_base)
+                        wlo = ((self._wends[ka - 1] if ka
+                                else self._wc_base) - self._wc_base)
+                        cp = self._window_cp(
+                            ka, total_items - self._key_base, rlo, wlo)
                     self._apply_record(st, ((cp,), cp, cp, cp))
                     st.next_start = total_items
                 windowed[st.size] = st.result

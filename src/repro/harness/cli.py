@@ -582,7 +582,10 @@ def _cmd_run(args) -> int:
                       f"window-state flushes replayed, "
                       f"{window_hits + translation['window_memo_misses']} "
                       f"windows computed one by one ({window_hits} memo "
-                      f"hits)", file=sys.stderr)
+                      f"hits, {translation.get('stitched_windows', 0)} "
+                      f"stitched from block executions over "
+                      f"{translation.get('stitched_items', 0)} items)",
+                      file=sys.stderr)
     return 0
 
 

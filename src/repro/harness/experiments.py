@@ -202,6 +202,8 @@ def _run_fused_config(workload, isa, profile, compiled, cfg, model,
             "flush_memo_hits": engine.batch_memo_hits,
             "flush_memo_misses": engine.batch_memo_misses,
             "window_phase_hits": engine.window_phase_hits,
+            "stitched_windows": engine.stitched_windows,
+            "stitched_items": engine.stitched_items,
         }
     return ConfigResult.from_analysis(
         workload.name, isa, profile, engine.results(),
