@@ -27,11 +27,7 @@ oracle and for custom analyses.
 
 from repro.analysis.blocksummary import BlockSummary, build_summary
 from repro.analysis.config import AnalysisConfig
-from repro.analysis.engine import (
-    AnalysisResult,
-    FusedAnalysisEngine,
-    FusedResults,
-)
+from repro.analysis.engine import AnalysisResult, FusedAnalysisEngine
 from repro.analysis.pathlength import PathLengthProbe, PathLengthResult
 from repro.analysis.critpath import (
     CriticalPathProbe,
@@ -49,7 +45,6 @@ __all__ = [
     "BlockSummary",
     "build_summary",
     "FusedAnalysisEngine",
-    "FusedResults",
     "PathLengthProbe",
     "PathLengthResult",
     "CriticalPathProbe",

@@ -57,20 +57,21 @@ instruction mix, and all windowed-CP sizes — in one pass:
   read (or written) over the run is ``[min, max]``, and the run is
   alias-free only when every read range is disjoint from every write
   range. A rejected run, a window straddling a run boundary, a SoA
-  segment, a spanning flush and the per-retirement ``on_batch`` stream
-  all take the memo paths above unchanged.
-* non-spanning flushes are *held by reference* (events, cell lists and
-  where they start), not emitted item by item into the rolling buffers
-  the memo keys slice: the buffers are filled only when some state
-  reaches the flush memo, at a spanning flush and in ``results()``.
-  While the phase table answers every state, a flush costs no item
-  work at all.
+  segment and the per-retirement ``on_batch`` stream all take the memo
+  paths above unchanged.
+* every flush is *held by reference* (events, cell lists and where they
+  start), not emitted item by item into the rolling buffers the memo
+  keys slice: the buffers are filled only when some state reaches the
+  flush memo. While the phase table answers every state, a flush costs
+  no item work at all. A flush with a cell-spanning access is expanded
+  once into one SoA segment whose read and write ends count cells, so
+  it is held, memoized and stitched like any other.
 * a window no memo answers (and a phase-table fill) is *stitched* from
-  the held flushes' block executions: whole executions go through the
-  block's generated window stitch on a window-local cell store, and only
-  the partial executions at the window's two ends and SoA segments are
-  walked item by item. The item walk (``_window_cp``) stays the oracle
-  and serves windows the held flushes do not cover.
+  the held flushes: whole executions go through the block's generated
+  window stitch on a window-local cell store, and only the partial
+  executions at the window's two ends and SoA segments are walked item
+  by item. This is the engine's one direct window computation;
+  :class:`repro.analysis.windowed.WindowedCPProbe` is its oracle.
 
 Results are exactly equal — field by field, including dict insertion
 order — to the legacy probes'; ``tests/test_fused_engine.py`` enforces
@@ -114,7 +115,6 @@ _MEM_BASE = NUM_DEP_REGS
 #: k), so equal keys imply identical per-item dependence arity.
 _IDX_SHIFT = 24
 _RC_SHIFT = 12
-_CNT_MASK = 0xFFF
 
 #: Stop growing the window memo once it holds this many window *items*
 #: (not entries — a W=2000 key is 500x a W=4 key). Existing entries keep
@@ -132,11 +132,6 @@ _PHASE_TABLE = True
 
 #: Cached per-phase window periods before the cache is cleared.
 _PERIODS_MAX_ENTRIES = 4096
-
-#: Compute windows no memo answers from the block executions of the
-#: retained flushes (see :meth:`FusedAnalysisEngine._stitch_window`).
-#: Results do not depend on it; tests switch it off to compare.
-_WINDOW_STITCH = True
 
 #: Stitch alias-free block events in one numpy step (see
 #: :meth:`repro.analysis.blocksummary.BlockSummary.cp_vec_fn`).
@@ -206,10 +201,6 @@ class AnalysisResult:
         )
 
 
-#: Pre-redesign name, kept for one release.
-FusedResults = AnalysisResult
-
-
 class _WState:
     __slots__ = ("size", "slide", "next_start", "result", "keep_cps")
 
@@ -222,10 +213,11 @@ class _WState:
 
 
 class _Flush:
-    """One non-spanning flush held by reference: its events (and SoA
-    arrays), its read and write cells and where it starts in the item
-    and cell streams. Enough to emit its window items into the rolling
-    buffers later, or to stitch windows from its block executions."""
+    """One flush held by reference: its events (and SoA arrays, whose
+    read and write ends count cells), its read and write cells and where
+    it starts in the item and cell streams. Enough to emit its window
+    items into the rolling buffers later, or to stitch windows from
+    it."""
 
     __slots__ = ("base", "end", "summaries", "events", "indices",
                  "read_ends", "write_ends", "rcells", "wcells", "rtot",
@@ -289,8 +281,7 @@ def _walk_items(items, rc, wc, r, w, rp, mp, best):
 def _events_to_soa(summaries, events, indices, read_ends, write_ends):
     """Expand a block-summary event flush to the equivalent per-item
     structure-of-arrays triple (static indices, absolute read ends,
-    absolute write ends). The access streams are shared, so the result
-    plugs straight into ``on_batch``."""
+    absolute write ends) over the flush's own access streams."""
     ti: list = []
     re_: list = []
     we_: list = []
@@ -442,7 +433,6 @@ class FusedAnalysisEngine:
         #: one a window can still reach; the buffers above hold items
         #: from ``_key_base`` up to some flush boundary, the flushes
         #: after it are not emitted yet (see :meth:`_materialize`).
-        #: Cleared by a spanning flush, which is never held.
         self._refs: list[_Flush] = []
         #: Window-local cell depths for :meth:`_stitch_window`, indexed
         #: by cell; allocated on first use, all zero between windows.
@@ -470,7 +460,6 @@ class FusedAnalysisEngine:
         #: window CPs with prefix sums, maxima and minima.
         self._periods: dict = {}
         self.window_phase_hits = 0
-        self._count_cache: dict = {}
 
     # -- cell-depth store -----------------------------------------------
 
@@ -500,37 +489,10 @@ class FusedAnalysisEngine:
 
     def on_batch(self, table, count, indices, read_ends, write_ends,
                  reads, writes) -> None:
-        """Consume one retirement batch (see ``EmulationCore.run_batched``)."""
-        if count == 0:
-            return
-        if self._store is None:
-            self.bind_memory(_DEFAULT_GUEST_BYTES)
-        self._ensure_meta(table)
-        ti = tuple(indices)
-        counts = self._count_cache.get(ti)
-        if counts is None:
-            counts = np.bincount(np.fromiter(indices, np.int64, count),
-                                 minlength=len(self._srcs))
-            if len(self._count_cache) >= 256:
-                self._count_cache.clear()
-            self._count_cache[ti] = counts
-        n = len(counts)
-        if len(self._counts) < n:
-            grown = np.zeros(n, dtype=np.int64)
-            grown[: len(self._counts)] = self._counts
-            self._counts = grown
-        self._counts[:n] += counts
-        self._total += count
-        self._cp_batch(indices, read_ends, write_ends, reads, writes)
-        if self._wstates:
-            # the batch is a flush holding one structure-of-arrays segment
-            if (any((a & 7) + z > 8 for a, z in reads)
-                    or any((a & 7) + z > 8 for a, z in writes)):
-                self._window_spanning(ti, count, read_ends, write_ends,
-                                      reads, writes)
-            else:
-                self._window_flush(None, (-1, count), ti, count,
-                                   read_ends, write_ends, reads, writes)
+        """Consume one retirement batch (see ``EmulationCore.run_batched``):
+        a flush holding one structure-of-arrays segment."""
+        self.on_events(table, None, (-1, count), count, indices, read_ends,
+                       write_ends, reads, writes)
 
     def _ensure_meta(self, table) -> None:
         srcs_t = self._srcs
@@ -553,14 +515,16 @@ class FusedAnalysisEngine:
         """Consume one block-summary event flush (the stream produced by
         ``repro.sim.blocks.run_summary_translated``). Exactly equivalent
         to ``on_batch`` over the expanded per-retirement stream; the
-        differential tests enforce it."""
+        differential tests enforce it. ``summaries`` is None for a
+        per-retirement batch, whose only event is one SoA segment."""
         if count == 0:
             return
         if self._store is None:
             self.bind_memory(_DEFAULT_GUEST_BYTES)
-        self.event_batches += 1
+        if summaries is not None:
+            self.event_batches += 1
+            self._summaries = summaries
         self._ensure_meta(table)
-        self._summaries = summaries
         # mix / path length: block items via execution counters (folded
         # into the count vector lazily), SoA items via one bincount
         nsoa = len(indices)
@@ -636,14 +600,19 @@ class FusedAnalysisEngine:
                 si = sj
         if windowed and spanning:
             # cell counts differ from access counts, so the summary key
-            # templates are invalid: expand to SoA and take the exact
-            # numpy spanning path
+            # templates are invalid: expand once to one SoA segment whose
+            # ends count cells, and hold that like any flush
             ti, re_, we_ = _events_to_soa(summaries, events, indices,
                                           read_ends, write_ends)
-            self._window_spanning(tuple(ti), count, re_, we_, reads, writes)
+            rcells, re_ = self._expand_cells(reads, re_)
+            wcells, we_ = self._expand_cells(writes, we_)
+            self._window_flush(None, (-1, count), ti, count, re_, we_,
+                               rcells, wcells)
         elif windowed:
             self._window_flush(summaries, events, indices, count,
-                               read_ends, write_ends, reads, writes)
+                               read_ends, write_ends,
+                               [a >> 3 for a, _ in reads],
+                               [a >> 3 for a, _ in writes])
 
     def _flatten_counts(self) -> None:
         """Fold pending block execution counters into the count vector."""
@@ -736,27 +705,21 @@ class FusedAnalysisEngine:
     # -- windowed critical paths -----------------------------------------
 
     @staticmethod
-    def _expand_cells(accesses, n, ends):
-        """Flat 8-byte-cell ids for a batch's accesses plus per-item
-        cumulative cell ends. The common no-spanning case is one cell per
-        access; spanning accesses expand to their full cell range."""
-        if n == 0:
-            return np.zeros(0, dtype=np.int64), np.zeros(len(ends),
-                                                         dtype=np.int64)
+    def _expand_cells(accesses, ends) -> tuple[list, list]:
+        """Flat 8-byte-cell ids of a flush's accesses, each expanded to
+        its full cell range, plus the per-item cumulative access
+        ``ends`` turned into cell ends."""
+        if not accesses:
+            return [], list(ends)
         acc = np.array(accesses, dtype=np.int64)
         addr = acc[:, 0]
-        first = addr >> 3
-        extra = ((addr & 7) + acc[:, 1] - 1) >> 3
-        if not extra.any():
-            return first, ends
-        cnts = extra + 1
+        cnts = ((addr & 7) + acc[:, 1] + 7) >> 3
         cum = np.cumsum(cnts)
-        starts = cum - cnts
-        total = int(cum[-1])
-        cells = np.repeat(first, cnts) + (
-            np.arange(total, dtype=np.int64) - np.repeat(starts, cnts))
-        item_ends = np.where(ends > 0, cum[ends - 1], 0)
-        return cells, item_ends
+        cells = np.repeat((addr >> 3) - (cum - cnts), cnts) + np.arange(
+            int(cum[-1]), dtype=np.int64)
+        ends = np.array(ends, dtype=np.int64)
+        return (cells.tolist(),
+                np.where(ends > 0, cum[ends - 1], 0).tolist())
 
     @staticmethod
     def _cell_deltas(cells, prev):
@@ -863,8 +826,8 @@ class FusedAnalysisEngine:
         return True
 
     def _window_flush(self, summaries, events, indices, count, read_ends,
-                      write_ends, reads, writes) -> None:
-        """Advance the window states over one non-spanning flush,
+                      write_ends, rcells, wcells) -> None:
+        """Advance the window states over one flush,
         answering each state's windows from the phase table or replaying
         them from its flush memo when it can.
 
@@ -887,13 +850,12 @@ class FusedAnalysisEngine:
         translating its cells, so equal signatures imply an equal
         window-CP sequence, and the memo of the state's ``(size, slide)``
         replays it as one ``(cps, sum, max, min)`` record. Per-retirement
-        batches arrive as a flush holding one SoA segment, so both paths
-        share one signature family. Only a memo miss emits this flush
-        too, to compute the state's windows. A state none of whose
-        windows ends in the flush needs no lookup at all.
+        batches and expanded spanning flushes arrive as a flush holding
+        one SoA segment whose ends count cells, so every path shares one
+        signature family. Only a memo miss emits this flush too, to
+        compute the state's windows. A state none of whose windows ends
+        in the flush needs no lookup at all.
         """
-        rcells = [a >> 3 for a, _ in reads]
-        wcells = [a >> 3 for a, _ in writes]
         item_base = self._items
         end = item_base + count
         ref = _Flush(item_base, end, summaries, tuple(events),
@@ -1098,10 +1060,11 @@ class FusedAnalysisEngine:
                     write_ends, skip, rtot, wtot, keys, rends, wends):
         """Append the composite keys and global cell ends of flush items
         ``[skip, count)`` to ``keys``/``rends``/``wends``; returns
-        ``(pr, pw)``, the flush-local access counts at item ``skip``.
-        Valid only for non-spanning flushes (cell count == access
-        count). Block runs emit whole key templates per execution; the
-        end lists use one vectorized outer add per long run."""
+        ``(pr, pw)``, the flush-local cell counts at item ``skip``.
+        Block runs emit whole key templates per execution (they occur
+        only in flushes without spanning accesses, where an access is one
+        cell); the end lists use one vectorized outer add per long
+        run."""
         pos = 0
         racc = 0
         wacc = 0
@@ -1202,51 +1165,6 @@ class FusedAnalysisEngine:
             pw = wacc
         return pr, pw
 
-    def _window_spanning(self, ti, count, read_ends, write_ends,
-                         reads, writes) -> None:
-        """Rare path: some access in the flush spans an 8-byte-cell
-        boundary, so post-expansion cell counts differ from the raw
-        access counts and the flush content no longer determines the
-        composite keys. Expand via numpy and consume windows directly,
-        bypassing the flush memo. It is never held: the flushes held so
-        far are emitted first, and the stitch serves no window that
-        reaches back over it."""
-        self._materialize(self._items)
-        self._refs.clear()
-        rend = np.fromiter(read_ends, np.int64, count)
-        wend = np.fromiter(write_ends, np.int64, count)
-        rc_a, rends_items = self._expand_cells(reads, read_ends[count - 1],
-                                               rend)
-        wc_a, wends_items = self._expand_cells(writes, write_ends[count - 1],
-                                               wend)
-        idx_arr = np.fromiter(ti, np.int64, count)
-        keys = ((idx_arr << _IDX_SHIFT)
-                | (np.diff(rends_items, prepend=0) << _RC_SHIFT)
-                | np.diff(wends_items, prepend=0)).tolist()
-        rcells = rc_a.tolist()
-        wcells = wc_a.tolist()
-        rdelta = self._cell_deltas(rcells, self._prev_rcell)
-        wdelta = self._cell_deltas(wcells, self._prev_wcell)
-        rtot = self._rc_base + len(self._rcells)
-        wtot = self._wc_base + len(self._wcells)
-        self._keys.extend(keys)
-        self._rends.extend((rends_items + rtot).tolist())
-        self._wends.extend((wends_items + wtot).tolist())
-        if rcells:
-            self._prev_rcell = rcells[-1]
-            self._rcells.extend(rcells)
-            self._rdeltas.extend(rdelta)
-        if wcells:
-            self._prev_wcell = wcells[-1]
-            self._wcells.extend(wcells)
-            self._wdeltas.extend(wdelta)
-        self._items += count
-        self._rtotal += len(rcells)
-        self._wtotal += len(wcells)
-        for st in self._wstates:
-            self._apply_record(st, self._state_record(st))
-        self._trim()
-
     def _window_cp_memo(self, start: int, size: int) -> int:
         ka = start - self._key_base
         kb = ka + size
@@ -1273,77 +1191,26 @@ class FusedAnalysisEngine:
             return cp
         self.memo_misses += 1
         cp = self._stitch_window(start, start + size)
-        if cp is None:
-            cp = self._window_cp(ka, kb, rlo, wlo)
         if self._memo_items < _MEMO_MAX_ITEMS:
             self._memo[key] = cp
             self._memo_items += size
         return cp
 
-    def _window_cp(self, ka: int, kb: int, rlo: int, wlo: int) -> int:
-        """Direct window CP from the rolling buffers (memo misses and the
-        final partial window). Matches ``window_critical_path`` on the
-        legacy probe's (srcs + cells, dsts + cells) items exactly."""
-        depth: dict[int, int] = {}
-        get = depth.get
-        keys = self._keys
-        srcs_t = self._srcs
-        dsts_t = self._dsts
-        rcells = self._rcells
-        wcells = self._wcells
-        r = rlo
-        w = wlo
-        best = 0
-        self.walked_items += kb - ka
-        for p in range(ka, kb):
-            k = keys[p]
-            idx = k >> _IDX_SHIFT
-            d = 0
-            for s in srcs_t[idx]:
-                v = get(s, 0)
-                if v > d:
-                    d = v
-            for _ in range((k >> _RC_SHIFT) & _CNT_MASK):
-                v = get(_MEM_BASE + rcells[r], 0)
-                r += 1
-                if v > d:
-                    d = v
-            d += 1
-            for t in dsts_t[idx]:
-                depth[t] = d
-            for _ in range(k & _CNT_MASK):
-                depth[_MEM_BASE + wcells[w]] = d
-                w += 1
-            if d > best:
-                best = d
-        return best
+    def _stitch_window(self, start: int, stop: int) -> int:
+        """CP of items ``[start, stop)`` from the held flushes.
 
-    def _stitch_window(self, start: int, stop: int) -> int | None:
-        """CP of items ``[start, stop)`` from the block executions of the
-        held flushes, or None when they do not hold all of them as block
-        events and SoA segments (the stitch is off, a spanning flush or a
-        per-retirement batch intervenes).
-
-        Equal to :meth:`_window_cp`: the window starts from zero register
-        and cell depths. Whole executions of a block go through its
-        generated window stitch (:meth:`BlockSummary.cpw_fn`); only the
-        partial executions at the window's two ends and SoA segments are
-        walked item by item. Cell depths live in a window-local scratch
-        store, a private anonymous ``mmap`` like the engine's store, so
-        only the pages of cells some stitched window stores to become
-        resident; the cells the window wrote are zeroed afterwards."""
-        if not _WINDOW_STITCH:
-            return None
-        held = []
-        for ref in self._refs:
-            if ref.base >= stop:
-                break
-            if ref.end > start:
-                if ref.summaries is None:
-                    return None
-                held.append(ref)
-        if not held or held[0].base > start:
-            return None
+        Matches ``window_critical_path`` on the legacy probe's (srcs +
+        cells, dsts + cells) items exactly: the window starts from zero
+        register and cell depths. Whole executions of a block go through
+        its generated window stitch (:meth:`BlockSummary.cpw_fn`); only
+        the partial executions at the window's two ends and SoA segments
+        are walked item by item. Cell depths live in a window-local
+        scratch store, a private anonymous ``mmap`` like the engine's
+        store, so only the pages of cells some stitched window stores to
+        become resident; the cells the window wrote are zeroed
+        afterwards."""
+        held = [ref for ref in self._refs
+                if ref.end > start and ref.base < stop]
         mp = self._scratch
         if mp is None:
             cells = self._store.shape[1]
@@ -1475,18 +1342,9 @@ class FusedAnalysisEngine:
         if self._wstates:
             windowed = {}
             total_items = self._items
-            self._materialize(total_items)
             for st in self._wstates:
                 if st.next_start < total_items:
                     cp = self._stitch_window(st.next_start, total_items)
-                    if cp is None:
-                        ka = st.next_start - self._key_base
-                        rlo = ((self._rends[ka - 1] if ka
-                                else self._rc_base) - self._rc_base)
-                        wlo = ((self._wends[ka - 1] if ka
-                                else self._wc_base) - self._wc_base)
-                        cp = self._window_cp(
-                            ka, total_items - self._key_base, rlo, wlo)
                     self._apply_record(st, ((cp,), cp, cp, cp))
                     st.next_start = total_items
                 windowed[st.size] = st.result

@@ -70,11 +70,3 @@ class Program:
     @property
     def data(self) -> Section | None:
         return self.sections.get(".data")
-
-    def region_for(self, pc: int) -> str | None:
-        """Kernel-region name covering ``pc``, or None (linear scan; callers
-        that need speed should build their own lookup from ``regions``)."""
-        for region in self.regions:
-            if region.contains(pc):
-                return region.name
-        return None

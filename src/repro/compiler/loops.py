@@ -286,11 +286,6 @@ class LoopLoweringMixin:
 
     # ---- hooks the ISA back ends provide (beyond CodeGen's) ---------------
 
-    def emit_group_init(self, reg: str, array: str, const_elems: int,
-                        reg_elems: str | None) -> None:
-        """reg = &array + (const_elems + [reg_elems]) * 8."""
-        raise NotImplementedError
-
     def emit_bump(self, reg: str, byte_step: int) -> None:
         raise NotImplementedError
 

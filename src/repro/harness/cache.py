@@ -149,11 +149,6 @@ class CacheStats:
     errors: int = 0  # corrupt/unreadable entries encountered (count as misses)
     quarantined: int = 0  # corrupt entries moved aside, never re-parsed
 
-    def as_dict(self) -> dict:
-        return {"hits": self.hits, "misses": self.misses,
-                "puts": self.puts, "errors": self.errors,
-                "quarantined": self.quarantined}
-
 
 @dataclass
 class CacheEntry:

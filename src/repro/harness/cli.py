@@ -583,8 +583,10 @@ def _cmd_run(args) -> int:
                       f"{window_hits + translation['window_memo_misses']} "
                       f"windows computed one by one ({window_hits} memo "
                       f"hits, {translation.get('stitched_windows', 0)} "
-                      f"stitched from block executions over "
-                      f"{translation.get('stitched_items', 0)} items)",
+                      f"stitched: {translation.get('stitched_items', 0)} "
+                      f"items in whole block executions, "
+                      f"{translation.get('walked_items', 0)} walked one "
+                      f"by one)",
                       file=sys.stderr)
     return 0
 

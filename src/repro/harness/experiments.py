@@ -89,15 +89,8 @@ class ConfigResult:
     def ilp(self) -> float:
         return ilp(self.path_length, self.cp.critical_path)
 
-    @property
-    def scaled_ilp(self) -> float:
-        return ilp(self.path_length, self.scaled_cp.critical_path)
-
     def runtime_ms(self, clock_ghz: float = CLOCK_GHZ) -> float:
         return runtime_ms(self.cp.critical_path, clock_ghz)
-
-    def scaled_runtime_ms(self, clock_ghz: float = CLOCK_GHZ) -> float:
-        return runtime_ms(self.scaled_cp.critical_path, clock_ghz)
 
     @property
     def analysis(self) -> AnalysisResult:
@@ -187,6 +180,8 @@ def _run_fused_config(workload, isa, profile, compiled, cfg, model,
         max_instructions=max_instructions, batch_sinks=sinks,
         translate=translate,
     )
+    # results() stitches the final partial windows: count them too
+    analysis = engine.results()
     translation = run.result.translation
     if translation is not None:
         # the stitch and memo counters ride the telemetry-only
@@ -204,10 +199,10 @@ def _run_fused_config(workload, isa, profile, compiled, cfg, model,
             "window_phase_hits": engine.window_phase_hits,
             "stitched_windows": engine.stitched_windows,
             "stitched_items": engine.stitched_items,
+            "walked_items": engine.walked_items,
         }
     return ConfigResult.from_analysis(
-        workload.name, isa, profile, engine.results(),
-        translation=translation,
+        workload.name, isa, profile, analysis, translation=translation,
     )
 
 

@@ -57,19 +57,6 @@ def parse_fp_reg(token: str, line: int | None = None) -> tuple[int, bool]:
     raise AssemblerError(f"unknown FP register {token!r}", line)
 
 
-def gp_name(index: int, is64: bool, sp_slot: bool = False) -> str:
-    """Canonical name for a GP register field value (31 = sp or zr by slot)."""
-    if index == 31:
-        if sp_slot:
-            return "sp" if is64 else "wsp"
-        return "xzr" if is64 else "wzr"
-    return f"{'x' if is64 else 'w'}{index}"
-
-
-def fp_name(index: int, is_double: bool) -> str:
-    return f"{'d' if is_double else 's'}{index}"
-
-
 #: AArch64 condition codes in encoding order.
 CONDITION_NAMES = [
     "eq", "ne", "cs", "cc", "mi", "pl", "vs", "vc",
@@ -91,11 +78,6 @@ def parse_condition(token: str, line: int | None = None) -> int:
 
 def condition_name(code: int) -> str:
     return CONDITION_NAMES[code & 0xF]
-
-
-def invert_condition(code: int) -> int:
-    """Invert a condition code (eq<->ne, ...); AL/NV invert onto each other."""
-    return code ^ 1
 
 
 # NZCV bit positions within machine.nzcv (a 4-bit int).

@@ -131,8 +131,3 @@ def round_f32(value: float) -> float:
     from repro.isa.riscv.semantics import round_f32 as _impl
 
     return _impl(value)
-
-
-def s_width(is64: bool):
-    """Signed-view helper selected by operand width."""
-    return s64 if is64 else s32

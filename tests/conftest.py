@@ -84,3 +84,41 @@ def compile_and_run(source: str, isa_name: str, profile: str = "gcc12",
         compiled.image, isa, max_instructions=max_instructions
     )
     return result, machine, compiled
+
+
+def assert_same(actual, expected, where: str = "") -> None:
+    """``assert actual == expected`` that fails fast on long values.
+
+    Pass or fail is decided by ``==`` alone, exactly as a bare assert
+    would. A failure reports the path to the first difference instead:
+    a key set, a length, or the first differing index. Pytest's own
+    explanation of a failed ``==`` between two window-CP lists, or two
+    result documents, of ~10^5 entries can take many minutes.
+    """
+    if actual == expected:
+        return
+    raise AssertionError(f"{where}: {_first_difference(actual, expected)}")
+
+
+def _first_difference(a, b, path: str = "") -> str:
+    if isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            only_a = sorted(map(repr, a.keys() - b.keys()))
+            only_b = sorted(map(repr, b.keys() - a.keys()))
+            return (f"{path} keys: only in actual {only_a}, only in "
+                    f"expected {only_b}")
+        for key in a:
+            if a[key] != b[key]:
+                return _first_difference(a[key], b[key], f"{path}[{key!r}]")
+    elif isinstance(a, (list, tuple)) and type(a) is type(b):
+        if len(a) != len(b):
+            return f"{path} length {len(a)} != {len(b)}"
+        for i, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                return _first_difference(x, y, f"{path}[{i}]")
+    return f"{path} {_short(a)} != {_short(b)}"
+
+
+def _short(value) -> str:
+    text = repr(value)
+    return text if len(text) <= 200 else text[:200] + "..."

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.analysis import CriticalPathProbe
+from repro.harness.experiments import run_config
+from repro.harness.plan import SCALED_MODELS
+from repro.isa.base import InstructionGroup
 from repro.sim.config import load_core_model
 from repro.sim.inorder import InOrderTimingProbe
 from repro.sim.ooo import OoOTimingProbe
-from repro.workloads import run_workload
+from repro.workloads import ALL_WORKLOADS, get_workload, run_workload
 from repro.workloads.stream import Stream, StreamParams
 
 WL = Stream(StreamParams(n=128, ntimes=1))
@@ -62,6 +65,32 @@ class TestOoO:
         ])
         # complete-time is CP-bounded; commit adds in-order drain
         assert ooo.result().cycles >= cp.result().critical_path
+
+    @pytest.mark.parametrize("isa", ["rv64", "aarch64"])
+    @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
+    def test_cycles_respect_width_and_dataflow_bounds(self, name, isa):
+        """A relation, not a second implementation: whatever the ROB
+        size, an OoO run takes at least ceil(N / issue width) and
+        ceil(N / fetch width) cycles, and at least the fused engine's
+        latency-scaled critical path under the same core model."""
+        model = load_core_model(SCALED_MODELS[isa])
+        # the scaled CP weighs loads, stores and atomics 1 and every
+        # other group its latency; the OoO core charges every group its
+        # latency, so no instruction costs it less than its CP weight
+        assert all(model.latency(g) >= 1 for g in InstructionGroup)
+        workload = get_workload(name, 0.02)
+        compiled = workload.compile(isa, "gcc12")
+        probes = [OoOTimingProbe(model, rob_size=size) for size in (16, 630)]
+        run_workload(workload, isa, "gcc12", probes, compiled=compiled)
+        fused = run_config(workload, isa, "gcc12", compiled=compiled)
+        for probe in probes:
+            result = probe.result()
+            n = result.instructions
+            assert n == fused.path_length
+            assert result.cycles >= max(-(-n // probe.issue_width),
+                                        -(-n // probe.fetch_width),
+                                        fused.scaled_cp.critical_path), (
+                probe.rob_size)
 
     def test_ooo_beats_inorder(self):
         model = load_core_model("tx2-riscv")

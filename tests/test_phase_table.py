@@ -36,6 +36,7 @@ from repro.isa import get_isa
 from repro.loader import program_to_image
 from repro.sim import run_image
 from repro.workloads import ALL_WORKLOADS, get_workload
+from tests.conftest import assert_same
 
 SCALE = 0.02
 ISAS = ("rv64", "aarch64")
@@ -54,10 +55,10 @@ def test_table_changes_no_result(name, monkeypatch):
         assert reference.translation["window_phase_hits"] == 0
         if name == "stream":
             assert served.translation["window_phase_hits"] > 0, isa
-        assert served.to_dict() == reference.to_dict(), isa
+        assert_same(served.to_dict(), reference.to_dict(), isa)
         for size in PAPER_WINDOW_SIZES:
-            assert (served.windowed[size].cps
-                    == reference.windowed[size].cps), (isa, size)
+            assert_same(served.windowed[size].cps,
+                        reference.windowed[size].cps, (isa, size))
 
 
 # ------------------------------------------- loops that alias through cells
@@ -136,8 +137,8 @@ def _windowed(image, isa):
 def _assert_matches_probe(fused, expected):
     assert list(fused) == list(expected)
     for size in PAPER_WINDOW_SIZES:
-        assert fused[size].cps == expected[size].cps, size
-        assert fused[size].to_dict() == expected[size].to_dict(), size
+        assert_same(fused[size].cps, expected[size].cps, size)
+        assert_same(fused[size].to_dict(), expected[size].to_dict(), size)
 
 
 @pytest.mark.parametrize("isa_name", ISAS)

@@ -29,6 +29,7 @@ from repro.isa import get_isa
 from repro.sim import run_image
 from repro.sim.trace import TraceWriter
 from repro.workloads import ALL_WORKLOADS, get_workload
+from tests.conftest import assert_same
 
 SCALE = 0.02
 
@@ -70,8 +71,8 @@ def test_replayed_flushes_match_probe_window_by_window(isa):
     expected = probe.results()
     assert list(fused) == list(expected)
     for size in PAPER_WINDOW_SIZES:
-        assert fused[size].cps == expected[size].cps, size
-        assert fused[size].to_dict() == expected[size].to_dict(), size
+        assert_same(fused[size].cps, expected[size].cps, size)
+        assert_same(fused[size].to_dict(), expected[size].to_dict(), size)
 
 
 def test_per_retirement_flushes_replay_identically():
@@ -83,8 +84,9 @@ def test_per_retirement_flushes_replay_identically():
     batches = _engine(stream, extra_sinks=[TraceWriter()])
     assert events.event_batches > 0 and batches.event_batches == 0
     assert batches.batch_memo_hits > 0
-    assert ({w: r.to_dict() for w, r in batches.results().windowed.items()}
-            == {w: r.to_dict() for w, r in events.results().windowed.items()})
+    assert_same(
+        {w: r.to_dict() for w, r in batches.results().windowed.items()},
+        {w: r.to_dict() for w, r in events.results().windowed.items()})
 
 
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))

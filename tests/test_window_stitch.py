@@ -1,23 +1,25 @@
-"""Windows stitched from block executions.
+"""Windows stitched from the held flushes.
 
 A windowed-CP window that neither the phase table nor a memo answers is
-computed from the block events of the flushes the engine holds: whole
-executions of a block go through the block's generated window stitch on
-a window-local cell store, and only the partial executions at the
-window's two ends and SoA segments are walked item by item. These tests
-pin that the stitch changes no result:
+computed by the fused engine's one direct window walk over the flushes
+it holds: whole executions of a block go through the block's generated
+window stitch on a window-local cell store, and only the partial
+executions at the window's two ends and SoA segments are walked item by
+item. Per-retirement batches, trace replays and flushes with
+cell-spanning accesses (expanded to cell units) are held as SoA
+segments and stitched the same way. ``WindowedCPProbe`` is the oracle:
 
-* every workload on both ISAs gives the same windowed results, every
-  kept CP included, with the stitch on and forced off, also at odd
-  window sizes and at slide fraction 1.0;
-* targeted loops match ``WindowedCPProbe`` window by window: a copy
-  followed by a scale of the copied array (windows straddling the two
-  loops see the second read what the first wrote), an in-place update,
-  windows shorter than one execution or starting and ending inside
-  one, and block events shorter than the vector stitch's threshold;
-* windows reaching over flushes with cell-spanning accesses, which are
-  never held, fall back to the item walk and still match the probe;
-* the fuzz corpus gives the same results with the stitch on and off;
+* every workload on both ISAs gives the legacy probes' result, every
+  kept CP included, also at odd window sizes and at slide fraction 1.0;
+* the per-retirement path (a trace writer attached) and trace replay
+  stitch their windows too and match the probe window by window, on
+  STREAM and across flushes with cell-spanning accesses;
+* targeted loops match the probe window by window: a copy followed by a
+  scale of the copied array (windows straddling the two loops see the
+  second read what the first wrote), an in-place update, windows shorter
+  than one execution or starting and ending inside one, and block
+  events shorter than the vector stitch's threshold;
+* the fuzz corpus matches the probe;
 * the counters are telemetry: they reach the translation stats, the
   timing summary and the ``windowed memo:`` stderr line, never the
   result document;
@@ -28,12 +30,13 @@ pin that the stitch changes no result:
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from functools import lru_cache
 
 import pytest
 
 from repro.analysis import AnalysisConfig, FusedAnalysisEngine, WindowedCPProbe
 from repro.analysis import blocksummary
-from repro.analysis import engine as engine_mod
 from repro.analysis.windowed import PAPER_WINDOW_SIZES
 from repro.asm import assemble
 from repro.compiler import compile_source
@@ -41,61 +44,88 @@ from repro.fuzz.corpus import corpus_files
 from repro.harness import events as events_mod
 from repro.harness.events import EventBus
 from repro.harness.executor import Executor
-from repro.harness.experiments import run_config
-from repro.harness.plan import plan_suite
+from repro.harness.experiments import replay_config, run_config
+from repro.harness.plan import ExperimentPlan, plan_suite
 from repro.isa import get_isa
 from repro.loader import program_to_image
 from repro.sim import run_image
+from repro.sim.trace import TraceWriter, read_trace
 from repro.workloads import ALL_WORKLOADS, get_workload
+from tests.conftest import assert_same
 
 SCALE = 0.02
 ISAS = ("rv64", "aarch64")
 KEEP = AnalysisConfig(windowed=True, window_sizes=PAPER_WINDOW_SIZES,
                       keep_cps=True)
 ODD_SIZES = (3, 7, 33, 1000)
-STITCH_COUNTERS = ("stitched_windows", "stitched_items")
+STITCH_COUNTERS = ("stitched_windows", "stitched_items", "walked_items")
 
 
-def _doc(result) -> str:
-    return json.dumps(result.to_dict(), sort_keys=True)
-
-
-def _both_ways(workload, isa, analysis, monkeypatch):
-    """(stitch on, stitch forced off) results of one configuration."""
-    served = run_config(workload, isa, "gcc12", analysis=analysis)
-    monkeypatch.setattr(engine_mod, "_WINDOW_STITCH", False)
-    try:
-        reference = run_config(workload, isa, "gcc12", analysis=analysis)
-    finally:
-        monkeypatch.setattr(engine_mod, "_WINDOW_STITCH", True)
-    assert reference.translation["stitched_windows"] == 0
-    return served, reference
+@lru_cache(maxsize=2)
+def _probe_doc(name: str, isa: str, analysis: AnalysisConfig) -> dict:
+    """The legacy probes' result document for one configuration (the
+    last two are kept: STREAM's on both ISAs, which the next test
+    reuses)."""
+    probes = replace(analysis, engine="probes")
+    return run_config(get_workload(name, SCALE), isa, "gcc12",
+                      analysis=probes).to_dict()
 
 
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
-def test_stitch_changes_no_result(name, monkeypatch):
+def test_stitch_changes_no_result(name):
+    """The stitched windows give the legacy probes' result."""
     workload = get_workload(name, SCALE)
     for isa in ISAS:
-        served, reference = _both_ways(workload, isa, KEEP, monkeypatch)
+        served = run_config(workload, isa, "gcc12", analysis=KEEP)
         if name == "stream":
             assert served.translation["stitched_windows"] > 0, isa
             assert served.translation["stitched_items"] > 0, isa
-        assert _doc(served) == _doc(reference), isa
-        for size in PAPER_WINDOW_SIZES:
-            assert (served.windowed[size].cps
-                    == reference.windowed[size].cps), (isa, size)
+        assert_same(served.to_dict(), _probe_doc(name, isa, KEEP), isa)
+
+
+@pytest.mark.parametrize("isa", ISAS)
+def test_per_retirement_and_replayed_windows_are_stitched(isa, monkeypatch):
+    # an attached trace writer does not accept block-summary events, so
+    # the engine sees per-retirement batches; replay_config feeds the
+    # recorded batches back. Both stitch their windows from SoA segments.
+    workload = get_workload("stream", SCALE)
+    expected = _probe_doc("stream", isa, KEEP)
+    writer = TraceWriter()
+    recorded = run_config(workload, isa, "gcc12", analysis=KEEP,
+                          trace_writer=writer)
+    assert recorded.translation["stitched_windows"] > 0
+    assert_same(recorded.to_dict(), expected, isa)
+
+    # a plan carries no keep_cps: keep them on the engine replay builds
+    engines = []
+    build = AnalysisConfig.build_engine
+
+    def keeping(self, *args, **kwargs):
+        engines.append(build(replace(self, keep_cps=True), *args, **kwargs))
+        return engines[-1]
+
+    monkeypatch.setattr(AnalysisConfig, "build_engine", keeping)
+    plan = ExperimentPlan("stream", isa, "gcc12", scale=SCALE, windowed=True,
+                          window_sizes=PAPER_WINDOW_SIZES)
+    replayed = replay_config(read_trace(writer.finish()), plan)
+    engine, = engines
+    assert engine.event_batches == 0
+    assert engine.stitched_windows > 0
+    assert_same(replayed.to_dict(), expected, isa)
 
 
 @pytest.mark.parametrize("slide", [0.5, 1.0])
 @pytest.mark.parametrize("name", ["stream", "minisweep"])
-def test_odd_windows_change_no_result(name, slide, monkeypatch):
+def test_odd_windows_change_no_result(name, slide):
+    """The probes' result at window sizes that start and end windows
+    inside block executions."""
     analysis = AnalysisConfig(windowed=True, window_sizes=ODD_SIZES,
                               slide_fraction=slide, keep_cps=True)
     workload = get_workload(name, SCALE)
     for isa in ISAS:
-        served, reference = _both_ways(workload, isa, analysis, monkeypatch)
+        served = run_config(workload, isa, "gcc12", analysis=analysis)
         assert served.translation["stitched_windows"] > 0, isa
-        assert _doc(served) == _doc(reference), isa
+        assert_same(served.to_dict(), _probe_doc(name, isa, analysis), isa)
 
 
 # ------------------------------------------------------- targeted loops
@@ -132,23 +162,34 @@ PROGRAMS = {
 }
 
 
-def _check_against_probe(source, isa_name, sizes):
-    """Run the fused engine and the legacy probe; return the engine."""
-    compiled = compile_source(source, isa_name, "gcc12")
-    isa = get_isa(compiled.isa_name)
-    image = compiled.image
-    engine = FusedAnalysisEngine(regions=image.regions, windowed=True,
-                                 window_sizes=sizes, keep_cps=True)
-    run_image(image, isa, batch_sinks=[engine])
-    probe = WindowedCPProbe(sizes, 0.5, keep_cps=True)
+def _windowed_engine(sizes, slide=0.5) -> FusedAnalysisEngine:
+    return FusedAnalysisEngine(windowed=True, window_sizes=sizes,
+                               slide_fraction=slide, keep_cps=True)
+
+
+def _assert_matches_probe(engine, image, isa, sizes, slide=0.5):
+    """Every window of ``engine``'s run equals ``WindowedCPProbe``'s on
+    ``image``; every window the engine computed directly was stitched."""
+    assert engine.stitched_windows == engine.memo_misses
+    probe = WindowedCPProbe(sizes, slide, keep_cps=True)
     run_image(image, isa, [probe])
     fused = engine.results().windowed
     expected = probe.results()
-    assert engine.event_batches > 0
     assert list(fused) == list(expected)
     for size in sizes:
-        assert fused[size].cps == expected[size].cps, size
-        assert fused[size].to_dict() == expected[size].to_dict(), size
+        assert_same(fused[size].cps, expected[size].cps, size)
+        assert_same(fused[size].to_dict(), expected[size].to_dict(), size)
+
+
+def _check_against_probe(source, isa_name, sizes):
+    """Run the fused engine on the block-event path and the legacy
+    probe; return the engine."""
+    compiled = compile_source(source, isa_name, "gcc12")
+    isa = get_isa(compiled.isa_name)
+    engine = _windowed_engine(sizes)
+    run_image(compiled.image, isa, batch_sinks=[engine])
+    assert engine.event_batches > 0
+    _assert_matches_probe(engine, compiled.image, isa, sizes)
     return engine
 
 
@@ -175,9 +216,9 @@ def test_windows_inside_executions_match_probe(isa_name):
 
 
 #: A copy loop, the same loop loading 8 bytes at 4 past a cell boundary
-#: (every load spans two cells, so its flushes take the spanning path
-#: and are never held), then the copy back: windows straddling the
-#: spanning stretch must fall back to the item walk.
+#: (every load spans two cells, so its flushes are expanded to cell
+#: units), then the copy back: windows straddling the spanning stretch
+#: reach over expanded flushes.
 _SPANNING_MIDDLE = {
     "rv64": """
     .text
@@ -268,43 +309,39 @@ dst:
 
 @pytest.mark.parametrize("isa_name", ISAS)
 def test_spanning_flushes_between_stitched_windows(isa_name):
+    # on the block-event path, on per-retirement batches (a trace writer
+    # attached) and on the replayed trace: every window computed
+    # directly is stitched, those over the spanning stretch included
     isa = get_isa(isa_name)
     image = program_to_image(assemble(_SPANNING_MIDDLE[isa_name], isa))
     sizes = (7, 200, 2000)
-    engine = FusedAnalysisEngine(regions=image.regions, windowed=True,
-                                 window_sizes=sizes, keep_cps=True)
-    run_image(image, isa, batch_sinks=[engine])
-    probe = WindowedCPProbe(sizes, 0.5, keep_cps=True)
-    run_image(image, isa, [probe])
-    fused = engine.results().windowed
-    expected = probe.results()
-    for size in sizes:
-        assert fused[size].to_dict() == expected[size].to_dict(), size
-    assert engine.stitched_windows > 0
-    # the windows over the spanning stretch took the item walk
-    assert engine.walked_items > engine.stitched_items
+    events = _windowed_engine(sizes)
+    run_image(image, isa, batch_sinks=[events])
+    assert events.event_batches > 0
+    batches = _windowed_engine(sizes)
+    writer = TraceWriter()
+    run_image(image, isa, batch_sinks=[batches, writer])
+    assert batches.event_batches == 0
+    replayed = _windowed_engine(sizes)
+    read_trace(writer.finish()).replay_into([replayed])
+    for engine in (events, batches, replayed):
+        assert engine.stitched_windows > 0
+        assert engine.walked_items > 0
+        _assert_matches_probe(engine, image, isa, sizes)
 
 
-def test_fuzz_corpus_stitch_on_and_off(monkeypatch):
-    analysis = AnalysisConfig(windowed=True, window_sizes=(3, 16, 200),
-                              keep_cps=True)
+def test_fuzz_corpus_matches_probe():
+    sizes = (3, 16, 200)
     stitched = 0
     for path in corpus_files():
         source = path.read_text()
-        for isa in ISAS:
-            compiled = compile_source(source, isa, "gcc12")
-            runs = []
-            for on in (True, False):
-                monkeypatch.setattr(engine_mod, "_WINDOW_STITCH", on)
-                engine = analysis.build_engine(
-                    regions=compiled.image.regions)
-                run_image(compiled.image, get_isa(compiled.isa_name),
-                          batch_sinks=[engine])
-                runs.append(engine)
-            monkeypatch.setattr(engine_mod, "_WINDOW_STITCH", True)
-            assert _doc(runs[0].results()) == _doc(runs[1].results()), (
-                path.name, isa)
-            stitched += runs[0].stitched_windows
+        for isa_name in ISAS:
+            compiled = compile_source(source, isa_name, "gcc12")
+            isa = get_isa(compiled.isa_name)
+            engine = _windowed_engine(sizes)
+            run_image(compiled.image, isa, batch_sinks=[engine])
+            _assert_matches_probe(engine, compiled.image, isa, sizes)
+            stitched += engine.stitched_windows
     assert stitched > 0
 
 
@@ -333,9 +370,10 @@ def test_stitch_counters_reach_timing_summary(tmp_path, capsys):
     line = next(ln for ln in capsys.readouterr().err.splitlines()
                 if ln.startswith("windowed memo:"))
     words = line.split()
-    stitched = int(words[words.index("stitched") - 1])
-    items = int(words[words.index("items)") - 1])
-    assert stitched > 0 and items > 0
+    stitched = int(words[words.index("stitched:") - 1])
+    items = int(words[words.index("items") - 1])
+    walked = int(words[words.index("walked") - 1])
+    assert stitched > 0 and items > 0 and walked >= 0
 
 
 # ------------------------------------------------- content-keyed stitches
