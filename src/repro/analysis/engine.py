@@ -70,8 +70,17 @@ instruction mix, and all windowed-CP sizes — in one pass:
   the held flushes: whole executions go through the block's generated
   window stitch on a window-local cell store, and only the partial
   executions at the window's two ends and SoA segments are walked item
-  by item. This is the engine's one direct window computation;
-  :class:`repro.analysis.windowed.WindowedCPProbe` is its oracle.
+  by item. :class:`repro.analysis.windowed.WindowedCPProbe` is its
+  oracle.
+* on SoA flushes (per-retirement batches, trace replays, expanded
+  spanning flushes) the windows the flush memo leaves are *deferred*
+  and computed in bulk: once the deferred span reaches ``_BULK_SPAN``
+  items (or at ``results()``), one numpy kernel call per state walks
+  its windows position by position over window-relative producer links
+  (the last earlier writer of each source, built once per drain with
+  one sort). The window memo and the stitch still serve block-event
+  flushes, where memo hits beat the kernel on STREAM, and drains of
+  fewer than ``_BULK_MIN_WINDOWS`` windows.
 
 Results are exactly equal — field by field, including dict insertion
 order — to the legacy probes'; ``tests/test_fused_engine.py`` enforces
@@ -142,6 +151,22 @@ _VECTOR_STITCH = True
 #: it the generated scalar loop is cheaper than numpy's per-call cost.
 _VECTOR_MIN_K = 32
 
+#: Fewest windows of one state a flush must leave the phase table for
+#: them to be computed in one bulk kernel call over window-relative
+#: producer links (:meth:`FusedAnalysisEngine._bulk_cps`) rather than
+#: looked up one by one in the window memo. Below it the memo's hits
+#: are cheaper than the kernel's per-step numpy cost. Results do not
+#: depend on it; tests set it to 1 (every window) or None (never).
+_BULK_MIN_WINDOWS = 8
+
+#: Most window positions (windows x size) one kernel step covers.
+_BULK_MAX_CELLS = 1 << 16
+
+#: Deferred windows are drained once the items from the earliest of them
+#: to the flush end reach this many: a flush of ~1,024 items completes
+#: only a few large windows, and the kernel's per-step cost wants many.
+_BULK_SPAN = 16_384
+
 #: Guest memory size assumed when no emulation core has bound one (a
 #: trace replay); every machine allocates this much.
 _DEFAULT_GUEST_BYTES = 1 << 24
@@ -202,7 +227,8 @@ class AnalysisResult:
 
 
 class _WState:
-    __slots__ = ("size", "slide", "next_start", "result", "keep_cps")
+    __slots__ = ("size", "slide", "next_start", "result", "keep_cps",
+                 "queue")
 
     def __init__(self, size: int, slide_fraction: float, keep_cps: bool):
         self.size = size
@@ -210,6 +236,28 @@ class _WState:
         self.next_start = 0
         self.result = WindowedCPResult(window_size=size, min_cp=0)
         self.keep_cps = keep_cps
+        #: folds waiting behind a deferred window (see ``_drain``), in
+        #: window order: ``(n, sum, max, min, cps)`` tuples and
+        #: :class:`_Deferred` entries
+        self.queue: list = []
+
+
+class _Deferred:
+    """A state's windows of one flush left to the next drain: ``cps``
+    holds known CPs and ``~j`` for the j-th start in ``todo`` (None when
+    every window is to do); ``fills`` the phase-table entries they fill;
+    the record lands in the flush memo ``memo`` under ``sig``."""
+
+    __slots__ = ("st", "cps", "todo", "fills", "memo", "sig", "record")
+
+    def __init__(self, st, cps, todo, fills, memo, sig):
+        self.st = st
+        self.cps = cps
+        self.todo = todo
+        self.fills = fills
+        self.memo = memo
+        self.sig = sig
+        self.record = None
 
 
 class _Flush:
@@ -221,7 +269,7 @@ class _Flush:
 
     __slots__ = ("base", "end", "summaries", "events", "indices",
                  "read_ends", "write_ends", "rcells", "wcells", "rtot",
-                 "wtot", "prev_r", "prev_w", "_deltas")
+                 "wtot", "prev_r", "prev_w", "_deltas", "_arrays")
 
     def __init__(self, base, end, summaries, events, indices, read_ends,
                  write_ends, rcells, wcells, rtot, wtot, prev_r, prev_w):
@@ -240,6 +288,7 @@ class _Flush:
         self.prev_r = prev_r
         self.prev_w = prev_w
         self._deltas = None
+        self._arrays = None
 
     def deltas(self) -> tuple[list, list]:
         """Read and write cell deltas, the first one linking to the cell
@@ -249,6 +298,23 @@ class _Flush:
                 FusedAnalysisEngine._cell_deltas(self.rcells, self.prev_r),
                 FusedAnalysisEngine._cell_deltas(self.wcells, self.prev_w))
         return self._deltas
+
+    def arrays(self) -> tuple:
+        """Per-item static indices and flush-local read and write cell
+        ends, then the read and write cells, as int64 arrays."""
+        if self._arrays is None:
+            if self.summaries is None:
+                ti = self.indices
+                re_ = self.read_ends
+                we_ = self.write_ends
+            else:
+                ti, re_, we_ = _events_to_soa(
+                    self.summaries, self.events, self.indices,
+                    self.read_ends, self.write_ends)
+            self._arrays = tuple(
+                np.array(x, dtype=np.int64)
+                for x in (ti, re_, we_, self.rcells, self.wcells))
+        return self._arrays
 
 
 def _walk_items(items, rc, wc, r, w, rp, mp, best):
@@ -371,6 +437,9 @@ class FusedAnalysisEngine:
         self._table: list = []
         self._srcs: list[tuple] = []
         self._dsts: list[tuple] = []
+        #: ``_srcs``/``_dsts`` as -1-padded matrices (windowed runs only)
+        self._srcs_np = np.full((0, 0), -1, dtype=np.int64)
+        self._dsts_np = np.full((0, 0), -1, dtype=np.int64)
         self._meta: list[tuple] = []
         if model is None:
             self._group_weights = [1] * len(InstructionGroup)
@@ -440,6 +509,15 @@ class FusedAnalysisEngine:
         self.stitched_windows = 0
         self.stitched_items = 0
         self.walked_items = 0
+        #: ``(first item, stop, links)`` of the last producer-link matrix
+        #: (see :meth:`_links`), shared by the states of one flush.
+        self._plinks = None
+        #: windows left to the next :meth:`_drain`, in flush order, and
+        #: the earliest start among them (None when there are none)
+        self._deferred: list[_Deferred] = []
+        self._deferred_lo = None
+        self.bulk_windows = 0
+        self.bulk_calls = 0
         self._memo: dict = {}
         self._memo_items = 0
         self.memo_hits = 0
@@ -502,11 +580,27 @@ class FusedAnalysisEngine:
             dsts_t = self._dsts
             meta = self._meta
             gw = self._group_weights
-            for j in range(len(srcs_t), n):
+            old = len(srcs_t)
+            for j in range(old, n):
                 inst = table[j]
                 srcs_t.append(inst.srcs)
                 dsts_t.append(inst.dsts)
                 meta.append((inst.srcs, inst.dsts, gw[inst.group]))
+            if self._wstates:
+                self._srcs_np = self._grow_padded(self._srcs_np, srcs_t[old:])
+                self._dsts_np = self._grow_padded(self._dsts_np, dsts_t[old:])
+
+    @staticmethod
+    def _grow_padded(mat, rows) -> np.ndarray:
+        """``mat``, dep-id rows padded with -1, extended by ``rows``."""
+        width = max(mat.shape[1], max(map(len, rows)))
+        new = np.full((len(rows), width), -1, dtype=np.int64)
+        for i, row in enumerate(rows):
+            new[i, :len(row)] = row
+        if width > mat.shape[1]:
+            mat = np.pad(mat, ((0, 0), (0, width - mat.shape[1])),
+                         constant_values=-1)
+        return np.concatenate([mat, new])
 
     # -- block-summary event ingestion -----------------------------------
 
@@ -920,15 +1014,12 @@ class FusedAnalysisEngine:
                 self.batch_memo_hits += 1
                 self._apply_record(st, record)
 
-        if pending:
-            self._materialize(end)
-            for st, memo, sig in pending:
-                record = self._state_record(st)
-                if len(memo) >= _FLUSH_MEMO_MAX_ENTRIES:
-                    memo.clear()
-                memo[sig] = record
-                self._apply_record(st, record)
-        needed = min(st.next_start for st in self._wstates)
+        for st, memo, sig in pending:
+            self._state_record(st, end, memo, sig, summaries is None)
+        if (self._deferred_lo is not None
+                and end - self._deferred_lo >= _BULK_SPAN):
+            self._drain()
+        needed = self._needed()
         refs = self._refs
         while refs and refs[0].end <= needed:
             del refs[0]
@@ -944,7 +1035,7 @@ class FusedAnalysisEngine:
         mat = self._key_base + len(self._keys)
         if mat >= stop:
             return
-        needed = min(st.next_start for st in self._wstates)
+        needed = self._needed()
         restart = needed >= mat
         rtot = self._rtotal
         wtot = self._wtotal
@@ -994,67 +1085,283 @@ class FusedAnalysisEngine:
             self._rc_base = rtot
             self._wc_base = wtot
 
-    def _state_record(self, st: _WState) -> tuple:
-        """``(cps, sum, max, min)`` of ``st``'s not yet consumed windows
-        that the buffered items complete. Windows inside an alias-free
-        run come from (and fill) the phase table; the rest come from the
-        window memo. Each run is tested once for the whole range."""
+    def _needed(self) -> int:
+        """The first item a window can still reach: the earliest window
+        start of any state, deferred windows included."""
+        needed = min(st.next_start for st in self._wstates)
+        lo = self._deferred_lo
+        return needed if lo is None or lo > needed else lo
+
+    def _state_record(self, st: _WState, end: int, memo: dict, sig,
+                      defer: bool) -> None:
+        """Fold ``st``'s not yet consumed windows that the items up to
+        ``end`` complete, and store them in ``memo`` under ``sig``.
+
+        Windows inside an alias-free run come from (and fill) the phase
+        table; each run is tested once for the whole range. With
+        ``defer`` (a SoA flush, whose windows would be walked item by
+        item) the rest wait for the next :meth:`_drain`, which computes
+        all of a state's deferred windows in one bulk kernel call. On a
+        block-event flush they are computed now, one by one through the
+        window memo, whose misses are stitched from whole block
+        executions: there the memo's hits beat the kernel (see
+        docs/performance.md, "Windows in bulk")."""
         size = st.size
         slide = st.slide
         first = st.next_start
-        last = self._key_base + len(self._keys) - size
-        cps = []
-        memo_cp = self._window_cp_memo
+        last = end - size
         inside = []
         for run in reversed(self._runs):
             if run[1] <= first:
                 break
             inside.append(run)
+        # known CPs (positive) and ``~j`` for the j-th window of ``todo``;
+        # no ``cps`` at all when every window is to do
+        cps = None if not inside else []
+        todo = [] if inside else range(first, last + 1, slide)
+        fills = []
         for start, stop, sid, L, _ in reversed(inside):
             # the lattice starts first + j*slide lying in [start, stop-size]
             lo = first + max(0, -(-(start - first) // slide)) * slide
             hi = min(last, stop - size)
             if lo > hi:
                 continue
-            cps.extend([memo_cp(p, size) for p in range(first, lo, slide)])
+            for p in range(first, lo, slide):
+                cps.append(~len(todo))
+                todo.append(p)
             tab = self._phase_cps.get((sid, size))
             if tab is None:
                 tab = self._phase_cps[sid, size] = [None] * L
+            queued = {}
             for p in range(lo, hi + 1, slide):
                 phase = (p - start) % L
                 cp = tab[phase]
                 if cp is None:
-                    cp = tab[phase] = memo_cp(p, size)
+                    cp = queued.get(phase)
+                    if cp is None:
+                        cp = queued[phase] = ~len(todo)
+                        fills.append((tab, phase, len(todo)))
+                        todo.append(p)
+                    else:
+                        self.window_phase_hits += 1
                 else:
                     self.window_phase_hits += 1
                 cps.append(cp)
             first = lo + ((hi - lo) // slide + 1) * slide
-        cps.extend([memo_cp(p, size) for p in range(first, last + 1, slide)])
-        cps = tuple(cps)
+        if inside:
+            for p in range(first, last + 1, slide):
+                cps.append(~len(todo))
+                todo.append(p)
+        if todo and defer and _BULK_MIN_WINDOWS is not None:
+            entry = _Deferred(st, cps, todo, fills, memo, sig)
+            st.next_start += len(todo if cps is None else cps) * slide
+            st.queue.append(entry)
+            self._deferred.append(entry)
+            if self._deferred_lo is None or todo[0] < self._deferred_lo:
+                self._deferred_lo = todo[0]
+            return
+        if todo:
+            self._materialize(end)
+            memo_cp = self._window_cp_memo
+            vals = [memo_cp(p, size) for p in todo]
+        else:
+            vals = []
+        record = self._resolve(cps, vals, fills)
+        if len(memo) >= _FLUSH_MEMO_MAX_ENTRIES:
+            memo.clear()
+        memo[sig] = record
+        self._apply_record(st, record)
+
+    @staticmethod
+    def _resolve(cps, vals: list, fills: list) -> tuple:
+        """The ``(cps, sum, max, min)`` record of windows whose
+        placeholders in ``cps`` are computed as ``vals``; phase-table
+        entries the computed windows fill are filled."""
+        for tab, phase, j in fills:
+            tab[phase] = vals[j]
+        cps = tuple(vals if cps is None
+                    else [cp if cp > 0 else vals[~cp] for cp in cps])
         return cps, sum(cps), max(cps, default=0), min(cps, default=0)
+
+    def _drain(self) -> None:
+        """Compute every deferred window: per state, all of them in one
+        bulk kernel call when there are at least ``_BULK_MIN_WINDOWS``,
+        else one by one through the window memo. Each deferred flush's
+        record fills its flush memo entry, and every state folds its
+        queued records in order."""
+        deferred = self._deferred
+        if not deferred:
+            return
+        end = self._items
+        by_state: dict = {}
+        for entry in deferred:
+            by_state.setdefault(entry.st, []).append(entry)
+        for st, entries in by_state.items():
+            starts = [p for entry in entries for p in entry.todo]
+            if len(starts) >= _BULK_MIN_WINDOWS:
+                vals = self._bulk_cps(starts, st.size, end,
+                                      self._deferred_lo)
+            else:
+                self._materialize(end)
+                memo_cp = self._window_cp_memo
+                vals = [memo_cp(p, st.size) for p in starts]
+            i = 0
+            for entry in entries:
+                j = i + len(entry.todo)
+                entry.record = self._resolve(entry.cps, vals[i:j],
+                                             entry.fills)
+                i = j
+                memo = entry.memo
+                if len(memo) >= _FLUSH_MEMO_MAX_ENTRIES:
+                    memo.clear()
+                memo[entry.sig] = entry.record
+        self._deferred = []
+        self._deferred_lo = None
+        self._plinks = None
+        for st in by_state:
+            queue = st.queue
+            st.queue = []
+            for item in queue:
+                if type(item) is not tuple:
+                    cps, total, mx, mn = item.record
+                    item = (len(cps), total, mx, mn, cps)
+                self._tally(st, *item)
+
+    def _links(self, lo: int, stop: int) -> tuple[int, np.ndarray]:
+        """``(base, links)``: producer links of items ``[base, stop)``
+        from the held flushes, for some ``base <= lo``. Row ``i`` lists,
+        for each source of item ``base + i`` (its registers, then its
+        read cells), the item (relative to ``base``) that last wrote it
+        before, or -1 when no item from ``base`` on did.
+
+        One stable sort of every source and destination occurrence by
+        ``(dep id, item, read before write)`` puts each source after the
+        writes that precede it in its dep id's group; a running maximum
+        over the writers' positions, offset per group so it never
+        carries over from the previous dep id, gives its last writer.
+        Links are window-independent: a window starting at ``a`` only
+        masks those before ``a``, so links from an earlier base serve
+        too: the states of one flush share them."""
+        cached = self._plinks
+        if cached is not None and cached[1] == stop and cached[0] <= lo:
+            return cached[0], cached[2]
+        tis, rcs, rns, wcs, wns = [], [], [], [], []
+        for ref in self._refs:
+            if ref.end <= lo:
+                continue
+            if ref.base >= stop:
+                break
+            ti, rend, wend, rc, wc = ref.arrays()
+            s0 = lo - ref.base if lo > ref.base else 0
+            s1 = min(stop, ref.end) - ref.base
+            r0 = rend[s0 - 1] if s0 else 0
+            w0 = wend[s0 - 1] if s0 else 0
+            tis.append(ti[s0:s1])
+            rns.append(np.diff(rend[s0:s1], prepend=r0))
+            wns.append(np.diff(wend[s0:s1], prepend=w0))
+            rcs.append(rc[r0:rend[s1 - 1]])
+            wcs.append(wc[w0:wend[s1 - 1]])
+        ti = np.concatenate(tis)
+        rn = np.concatenate(rns)
+        wn = np.concatenate(wns)
+        n = len(ti)
+        items = np.arange(n, dtype=np.int64)
+        S = self._srcs_np[ti]
+        ms = S.shape[1]
+        srow, scol = np.nonzero(S >= 0)
+        rstart = np.cumsum(rn) - rn
+        nrc = int(rn.sum())
+        r_item = np.concatenate([srow, np.repeat(items, rn)])
+        r_col = np.concatenate(
+            [scol, ms + np.arange(nrc, dtype=np.int64)
+             - np.repeat(rstart, rn)])
+        Dm = self._dsts_np[ti]
+        drow, dcol = np.nonzero(Dm >= 0)
+        ids = np.concatenate([S[srow, scol], np.concatenate(rcs) + _MEM_BASE,
+                              Dm[drow, dcol], np.concatenate(wcs) + _MEM_BASE])
+        nr = len(r_item)
+        occ = np.concatenate([r_item, drow, np.repeat(items, wn)])
+        write = np.arange(len(ids)) >= nr
+        order = np.argsort(ids * (2 * n) + occ * 2 + write, kind="stable")
+        sid = ids[order] * (n + 1)
+        acc = np.maximum.accumulate(
+            sid + np.where(write[order], occ[order] + 1, 0)) - sid - 1
+        rd = ~write[order]
+        links = np.full((n, max(1, ms + int(rn.max()))), -1,
+                        dtype=np.int64)
+        src = order[rd]
+        links[r_item[src], r_col[src]] = acc[rd]
+        self._plinks = (lo, stop, links)
+        return lo, links
+
+    def _bulk_cps(self, starts: list, size: int, end: int,
+                  lo: int) -> list:
+        """CPs of the windows of ``size`` items starting at ``starts``
+        (none before ``lo``, all ending by ``end``), in one kernel call
+        over the producer links of items from ``lo`` on.
+
+        ``D[t, j]`` is the depth of item ``t`` of window ``j``, and row
+        ``size`` a zero sentinel: a source whose producer lies before
+        the window start (or has none) reads it, which is exactly
+        ``window_critical_path``'s empty depth map at the window start.
+        Windowed CPs break on zero with unit weights, so one step per
+        window position fills a row: ``D[t] = max(D[links]) + 1``."""
+        base, P = self._links(lo, end)
+        a = np.array(starts, dtype=np.int64) - base
+        steps = np.arange(size)
+        mx = np.maximum.reduce
+        cps = []
+        # bound the kernel's (windows, size, links) temporaries
+        chunk = max(1, _BULK_MAX_CELLS // size)
+        for c in range(0, len(a), chunk):
+            ac = a[c:c + chunk]
+            J = len(ac)
+            off = P[ac[:, None] + steps] - ac[:, None, None]
+            off[off < 0] = size
+            # flat indices into D laid out (size + 1, J): step t's row
+            # is contiguous, row ``size`` the zero sentinel
+            flat = np.ascontiguousarray(off.transpose(1, 0, 2) * J
+                                        + np.arange(J)[:, None])
+            D = np.zeros((size + 1) * J, dtype=np.int32)
+            for t in range(size):
+                row = D[t * J:(t + 1) * J]
+                mx(D[flat[t]], 1, None, row)
+                row += 1
+            cps.extend(D[:size * J].reshape(size, J).max(0).tolist())
+        self.bulk_windows += len(a)
+        self.bulk_calls += 1
+        return cps
 
     def _apply_record(self, st: _WState, record: tuple) -> None:
         """Fold a ``(cps, sum, max, min)`` record into ``st``."""
         cps, total, mx, mn = record
         self._fold(st, len(cps), total, mx, mn, cps)
 
-    @staticmethod
-    def _fold(st: _WState, n: int, total: int, mx: int, mn: int,
+    def _fold(self, st: _WState, n: int, total: int, mx: int, mn: int,
               cps) -> None:
-        """Fold ``n`` consecutive windows (CP sum, max, min, and the CPs
-        themselves when kept) into ``st``'s result and advance it past
-        them."""
+        """Advance ``st`` past ``n`` consecutive windows and fold them
+        (CP sum, max, min, and the CPs themselves when kept) into its
+        result, queued behind its deferred windows if it has any."""
         if n:
-            res = st.result
-            res.count += n
-            res.total_cp += total
-            if mx > res.max_cp:
-                res.max_cp = mx
-            if res.min_cp == 0 or mn < res.min_cp:
-                res.min_cp = mn
-            if st.keep_cps:
-                res.cps.extend(cps)
             st.next_start += n * st.slide
+            if st.queue:
+                st.queue.append((n, total, mx, mn, cps))
+            else:
+                self._tally(st, n, total, mx, mn, cps)
+
+    @staticmethod
+    def _tally(st: _WState, n: int, total: int, mx: int, mn: int,
+               cps) -> None:
+        """Fold ``n`` windows into ``st``'s result."""
+        res = st.result
+        res.count += n
+        res.total_cp += total
+        if mx > res.max_cp:
+            res.max_cp = mx
+        if res.min_cp == 0 or mn < res.min_cp:
+            res.min_cp = mn
+        if st.keep_cps:
+            res.cps.extend(cps)
 
     def _emit_items(self, summaries, events, indices, read_ends,
                     write_ends, skip, rtot, wtot, keys, rends, wends):
@@ -1313,7 +1620,7 @@ class FusedAnalysisEngine:
 
     def _trim(self) -> None:
         """Drop buffer prefixes no window can reach anymore."""
-        needed = min(st.next_start for st in self._wstates)
+        needed = self._needed()
         drop = min(needed, self._key_base + len(self._keys)) - self._key_base
         if drop < 4096:
             return
@@ -1340,6 +1647,7 @@ class FusedAnalysisEngine:
         self._flatten_counts()
         windowed = None
         if self._wstates:
+            self._drain()
             windowed = {}
             total_items = self._items
             for st in self._wstates:

@@ -558,7 +558,7 @@ def _cmd_run(args) -> int:
                          f"recycled")
             print(line, file=sys.stderr)
         translation = summary["translation"]
-        if translation:
+        if summary["translated_plans"]:
             total = translation.get("block_instructions", 0)
             inlined = translation.get("inlined_instructions", 0)
             pct = 100.0 * inlined / total if total else 0.0
@@ -567,6 +567,7 @@ def _cmd_run(args) -> int:
                   f"{summary['translated_plans']} simulations, "
                   f"{pct:.1f}% of block instructions inlined",
                   file=sys.stderr)
+        if translation:
             if "cp_vector_insts" in translation:
                 print(f"critical path: "
                       f"{translation['cp_vector_insts']} instructions "
@@ -586,7 +587,10 @@ def _cmd_run(args) -> int:
                       f"stitched: {translation.get('stitched_items', 0)} "
                       f"items in whole block executions, "
                       f"{translation.get('walked_items', 0)} walked one "
-                      f"by one)",
+                      f"by one), "
+                      f"{translation.get('bulk_windows', 0)} windows in "
+                      f"bulk ({translation.get('bulk_calls', 0)} kernel "
+                      f"calls)",
                       file=sys.stderr)
     return 0
 

@@ -104,9 +104,11 @@ class PlanTraceHit(Event):
 @dataclass(frozen=True)
 class PlanTranslationStats(Event):
     """Block-translation statistics of a fresh simulation
-    (:meth:`EmulationCore.translation_stats`). Emitted just before the
-    plan's :class:`PlanFinished`; never emitted for cache hits, trace
-    replays, or interpreter (``translate=False``) runs."""
+    (:meth:`EmulationCore.translation_stats`) plus the fused engine's
+    analysis counters. Emitted just before the plan's
+    :class:`PlanFinished`; never emitted for cache hits or interpreter
+    (``translate=False``) runs. A trace replay translates nothing: its
+    stats hold the analysis counters only."""
 
     plan: ExperimentPlan = None
     index: int = 0
@@ -371,7 +373,8 @@ class TimingCollector:
         self.suite_seconds = 0.0
         self.plan_seconds: dict[ExperimentPlan, float] = {}
         #: Summed block-translation counters across fresh translated
-        #: simulations (``max_block`` is a maximum, not a sum).
+        #: simulations (``max_block`` is a maximum, not a sum), and the
+        #: analysis counters of those and of trace replays.
         self.translation: dict[str, int] = {}
         self.translated_plans = 0
         self.workers_recycled = 0
@@ -395,8 +398,11 @@ class TimingCollector:
         elif isinstance(event, PlanTraceHit):
             self.trace_hits += 1
         elif isinstance(event, PlanTranslationStats):
-            self.translated_plans += 1
-            for key, value in (event.stats or {}).items():
+            stats = event.stats or {}
+            if "blocks" in stats:
+                # a trace replay carries analysis counters only
+                self.translated_plans += 1
+            for key, value in stats.items():
                 if key == "max_block":
                     self.translation[key] = max(
                         self.translation.get(key, 0), value)

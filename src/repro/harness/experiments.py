@@ -180,18 +180,24 @@ def _run_fused_config(workload, isa, profile, compiled, cfg, model,
         max_instructions=max_instructions, batch_sinks=sinks,
         translate=translate,
     )
-    # results() stitches the final partial windows: count them too
+    # results() computes the last deferred and final partial windows:
+    # count them too
     analysis = engine.results()
     translation = run.result.translation
     if translation is not None:
-        # the stitch and memo counters ride the telemetry-only
-        # translation dict, so the TimingCollector sums them like the
-        # block counters
-        translation = {**translation,
-                       "cp_vector_insts": engine.cp_vector_insts}
-    if translation is not None and cfg.windowed:
-        translation = {
-            **translation,
+        translation = {**translation, **_analysis_counters(engine, cfg)}
+    return ConfigResult.from_analysis(
+        workload.name, isa, profile, analysis, translation=translation,
+    )
+
+
+def _analysis_counters(engine, cfg) -> dict:
+    """The fused engine's CP-stitch and windowed-memo counters. They
+    ride the telemetry-only translation dict, so the TimingCollector
+    sums them like the block counters; never the result document."""
+    counters = {"cp_vector_insts": engine.cp_vector_insts}
+    if cfg.windowed:
+        counters.update({
             "window_memo_hits": engine.memo_hits,
             "window_memo_misses": engine.memo_misses,
             "flush_memo_hits": engine.batch_memo_hits,
@@ -200,10 +206,10 @@ def _run_fused_config(workload, isa, profile, compiled, cfg, model,
             "stitched_windows": engine.stitched_windows,
             "stitched_items": engine.stitched_items,
             "walked_items": engine.walked_items,
-        }
-    return ConfigResult.from_analysis(
-        workload.name, isa, profile, analysis, translation=translation,
-    )
+            "bulk_windows": engine.bulk_windows,
+            "bulk_calls": engine.bulk_calls,
+        })
+    return counters
 
 
 def _run_probe_config(workload, isa, profile, compiled, cfg, model,
@@ -312,13 +318,19 @@ def replay_config(trace, plan) -> ConfigResult:
     plans that differ only in analysis parameters (window sizes, slide
     fraction, core model) replay one recording through a fresh
     :class:`FusedAnalysisEngine`.
+
+    The result's translation dict carries only the engine's analysis
+    counters (nothing was translated), so a replay's memo, stitch and
+    bulk-window work reaches the timing summary too.
     """
     model = load_core_model(plan.model)
     engine = plan.analysis.build_engine(regions=trace.regions, model=model)
     for batch in trace.iter_batches():
         engine.on_batch(*batch)
+    analysis = engine.results()
     return ConfigResult.from_analysis(
-        plan.workload, plan.isa, plan.profile, engine.results()
+        plan.workload, plan.isa, plan.profile, analysis,
+        translation=_analysis_counters(engine, plan.analysis),
     )
 
 

@@ -37,6 +37,7 @@ import pytest
 
 from repro.analysis import AnalysisConfig, FusedAnalysisEngine, WindowedCPProbe
 from repro.analysis import blocksummary
+from repro.analysis import engine as engine_mod
 from repro.analysis.windowed import PAPER_WINDOW_SIZES
 from repro.asm import assemble
 from repro.compiler import compile_source
@@ -308,10 +309,13 @@ dst:
 
 
 @pytest.mark.parametrize("isa_name", ISAS)
-def test_spanning_flushes_between_stitched_windows(isa_name):
+def test_spanning_flushes_between_stitched_windows(isa_name, monkeypatch):
     # on the block-event path, on per-retirement batches (a trace writer
     # attached) and on the replayed trace: every window computed
-    # directly is stitched, those over the spanning stretch included
+    # directly is stitched, those over the spanning stretch included.
+    # With the bulk kernel on, SoA flushes leave their windows to it
+    # (tests/test_window_kernel.py); switched off, they are stitched.
+    monkeypatch.setattr(engine_mod, "_BULK_MIN_WINDOWS", None)
     isa = get_isa(isa_name)
     image = program_to_image(assemble(_SPANNING_MIDDLE[isa_name], isa))
     sizes = (7, 200, 2000)

@@ -37,6 +37,12 @@ partial windows), at most ``WINDOW_WALK_MAX_SHARE`` may still be walked
 item by item, on both ISAs: the rest are stitched from whole block
 executions (a count, not a timing).
 
+It guards the bulk window kernel with a count too: on irregular code
+(minisweep and cloverleaf at ``SCALE``, windows 4, 16 and 64, per
+retirement: a trace writer attached, as a cold cached plan runs), at
+least ``WINDOW_KERNEL_MIN_SHARE`` of the windows completed must be
+computed in bulk over producer links, on both ISAs.
+
 It guards the vector chain stitch the same way: on STREAM, at least
 ``CP_VECTOR_MIN_SHARE`` of the retired instructions must be stitched in
 vector steps over alias-free block runs, on both ISAs (a count, not a
@@ -137,6 +143,14 @@ WINDOW_PHASE_MIN_SHARE = 0.90
 #: (the partial executions at window ends); the margin is 2.5x. Without
 #: the stitch it is 100%.
 WINDOW_WALK_MAX_SHARE = 0.05
+
+#: Windows computed in bulk (one kernel call per state and drain over
+#: window-relative producer links) must be at least this share of the
+#: windows completed, on minisweep and cloverleaf at ``SCALE`` with
+#: windows 4, 16 and 64, per retirement: 97.1-99.9% when the kernel
+#: was introduced (the rest are flush-memo replays and the final partial
+#: windows). Without the kernel it is 0%.
+WINDOW_KERNEL_MIN_SHARE = 0.90
 
 #: Instructions stitched in vector steps (alias-free block events of at
 #: least ``engine._VECTOR_MIN_K`` executions) must be at least this share
@@ -297,6 +311,38 @@ def _window_memo_guard(workload) -> int:
           f"one by one, at least {WINDOW_PHASE_MIN_SHARE:.0%} from the "
           f"phase table, at most {WINDOW_WALK_MAX_SHARE:.0%} of their "
           f"items walked one by one")
+    return 0
+
+
+def _window_kernel_guard() -> int:
+    """Nearly every window of irregular code on SoA flushes must come
+    from the bulk kernel."""
+    from repro.analysis import FusedAnalysisEngine
+    from repro.sim.trace import TraceWriter
+
+    for name in ("minisweep", "cloverleaf"):
+        workload = get_workload(name, SCALE)
+        for isa_name in ("rv64", "aarch64"):
+            compiled = workload.compile(isa_name, "gcc12")
+            engine = FusedAnalysisEngine(regions=compiled.image.regions,
+                                         windowed=True,
+                                         window_sizes=(4, 16, 64))
+            run_image(compiled.image, get_isa(compiled.isa_name),
+                      batch_sinks=[engine, TraceWriter()])
+            completed = sum(r.count
+                            for r in engine.results().windowed.values())
+            share = engine.bulk_windows / completed
+            print(f"window kernel: {name} {isa_name} computed "
+                  f"{engine.bulk_windows} of {completed} windows in bulk "
+                  f"({share:.1%}) in {engine.bulk_calls} kernel calls")
+            if share < WINDOW_KERNEL_MIN_SHARE:
+                print(f"FAIL: {share:.1%} of windows computed in bulk on "
+                      f"{name} {isa_name} (limit "
+                      f"{WINDOW_KERNEL_MIN_SHARE:.0%}) — SoA flushes no "
+                      f"longer reach the window kernel", file=sys.stderr)
+                return 1
+    print(f"OK: at least {WINDOW_KERNEL_MIN_SHARE:.0%} of irregular-code "
+          f"windows computed in bulk")
     return 0
 
 
@@ -717,7 +763,8 @@ def main() -> int:
     print(f"OK: fused analysis within {ANALYZED_MAX_RATIO}x of raw "
           f"translation")
     return (_assemble_guard(compiled, isa)
-            or _window_memo_guard(workload) or _cp_vector_guard(workload)
+            or _window_memo_guard(workload) or _window_kernel_guard()
+            or _cp_vector_guard(workload)
             or _fault_smoke()
             or _warm_smoke())
 
