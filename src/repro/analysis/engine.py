@@ -72,15 +72,20 @@ instruction mix, and all windowed-CP sizes — in one pass:
   executions at the window's two ends and SoA segments are walked item
   by item. :class:`repro.analysis.windowed.WindowedCPProbe` is its
   oracle.
-* on SoA flushes (per-retirement batches, trace replays, expanded
-  spanning flushes) the windows the flush memo leaves are *deferred*
-  and computed in bulk: once the deferred span reaches ``_BULK_SPAN``
-  items (or at ``results()``), one numpy kernel call per state walks
-  its windows position by position over window-relative producer links
-  (the last earlier writer of each source, built once per drain with
-  one sort). The window memo and the stitch still serve block-event
-  flushes, where memo hits beat the kernel on STREAM, and drains of
-  fewer than ``_BULK_MIN_WINDOWS`` windows.
+* on a SoA flush (per-retirement batches, trace replays, expanded
+  spanning flushes) whose static indices no earlier flush had, the
+  windows the phase table leaves are *deferred* and computed in bulk:
+  once the deferred span reaches ``_BULK_SPAN`` items (or at
+  ``results()``), one numpy kernel call per state walks its windows
+  position by position over window-relative producer links (the last
+  earlier writer of each source, built once per drain with one sort).
+  Such a flush cannot replay from the flush memo, so it skips the
+  lookup and the buffer emission its signature needs; on irregular
+  code nearly every flush is one. A repeated SoA flush is loop code,
+  where the memos hit (and the kernel, paying per window position, is
+  slower on large windows), so it takes the memo paths like a
+  block-event flush. The window memo and the stitch also serve the
+  partial tail window at ``results()``.
 
 Results are exactly equal — field by field, including dict insertion
 order — to the legacy probes'; ``tests/test_fused_engine.py`` enforces
@@ -150,14 +155,6 @@ _VECTOR_STITCH = True
 #: Fewest executions a block event needs for the vector stitch: below
 #: it the generated scalar loop is cheaper than numpy's per-call cost.
 _VECTOR_MIN_K = 32
-
-#: Fewest windows of one state a flush must leave the phase table for
-#: them to be computed in one bulk kernel call over window-relative
-#: producer links (:meth:`FusedAnalysisEngine._bulk_cps`) rather than
-#: looked up one by one in the window memo. Below it the memo's hits
-#: are cheaper than the kernel's per-step numpy cost. Results do not
-#: depend on it; tests set it to 1 (every window) or None (never).
-_BULK_MIN_WINDOWS = 8
 
 #: Most window positions (windows x size) one kernel step covers.
 _BULK_MAX_CELLS = 1 << 16
@@ -246,7 +243,8 @@ class _Deferred:
     """A state's windows of one flush left to the next drain: ``cps``
     holds known CPs and ``~j`` for the j-th start in ``todo`` (None when
     every window is to do); ``fills`` the phase-table entries they fill;
-    the record lands in the flush memo ``memo`` under ``sig``."""
+    the record lands in the flush memo ``memo`` (if any) under
+    ``sig``."""
 
     __slots__ = ("st", "cps", "todo", "fills", "memo", "sig", "record")
 
@@ -527,6 +525,9 @@ class FusedAnalysisEngine:
             (st.size, st.slide): {} for st in self._wstates}
         self.batch_memo_hits = 0
         self.batch_memo_misses = 0
+        #: Hashes of the SoA flushes' static indices seen so far (see
+        #: :meth:`_window_flush`).
+        self._soa_seen: set = set()
         #: Alias-free block runs, in item order: ``[start, end, summary
         #: id, block length, slot ranges]`` (ranges ``None`` when the
         #: block has no reads or no writes).
@@ -946,9 +947,11 @@ class FusedAnalysisEngine:
         replays it as one ``(cps, sum, max, min)`` record. Per-retirement
         batches and expanded spanning flushes arrive as a flush holding
         one SoA segment whose ends count cells, so every path shares one
-        signature family. Only a memo miss emits this flush too, to
-        compute the state's windows. A state none of whose windows ends
-        in the flush needs no lookup at all.
+        signature family; a SoA flush whose static indices were never
+        seen cannot match any signature and defers its windows to the
+        bulk kernel without one. Only a memo miss emits this flush too, to compute the
+        state's windows. A state none of whose windows ends in the flush
+        needs no lookup at all.
         """
         item_base = self._items
         end = item_base + count
@@ -967,12 +970,28 @@ class FusedAnalysisEngine:
         head = (self._track_runs(summaries, events, rcells, wcells,
                                  item_base)
                 if summaries is not None and _PHASE_TABLE else None)
+        # a SoA flush whose static indices were never seen cannot replay
+        # from a flush memo: its states skip the signature (and the
+        # buffer emission it needs) and defer their windows to the
+        # kernel; a repeated one takes the memo paths
+        fresh = False
+        if summaries is None:
+            seen = self._soa_seen
+            key = hash(ref.indices)
+            fresh = key not in seen
+            if fresh:
+                if len(seen) >= _FLUSH_MEMO_MAX_ENTRIES:
+                    seen.clear()
+                seen.add(key)
         pending = []
         flush = None
         for st in self._wstates:
             if st.next_start + st.size > end:
                 continue
             if head is not None and self._phase_fold(st, head, end):
+                continue
+            if fresh:
+                pending.append((st, None, None))
                 continue
             if flush is None:
                 self._materialize(item_base)
@@ -1015,7 +1034,7 @@ class FusedAnalysisEngine:
                 self._apply_record(st, record)
 
         for st, memo, sig in pending:
-            self._state_record(st, end, memo, sig, summaries is None)
+            self._state_record(st, end, memo, sig, fresh)
         if (self._deferred_lo is not None
                 and end - self._deferred_lo >= _BULK_SPAN):
             self._drain()
@@ -1092,19 +1111,20 @@ class FusedAnalysisEngine:
         lo = self._deferred_lo
         return needed if lo is None or lo > needed else lo
 
-    def _state_record(self, st: _WState, end: int, memo: dict, sig,
+    def _state_record(self, st: _WState, end: int, memo, sig,
                       defer: bool) -> None:
         """Fold ``st``'s not yet consumed windows that the items up to
-        ``end`` complete, and store them in ``memo`` under ``sig``.
+        ``end`` complete, and store them in its flush memo ``memo`` (if
+        any) under ``sig``.
 
         Windows inside an alias-free run come from (and fill) the phase
         table; each run is tested once for the whole range. With
-        ``defer`` (a SoA flush, whose windows would be walked item by
-        item) the rest wait for the next :meth:`_drain`, which computes
-        all of a state's deferred windows in one bulk kernel call. On a
-        block-event flush they are computed now, one by one through the
-        window memo, whose misses are stitched from whole block
-        executions: there the memo's hits beat the kernel (see
+        ``defer`` (a SoA flush never seen before, whose windows would be
+        walked item by item) the rest wait for the next :meth:`_drain`,
+        which computes all of a state's deferred windows in one bulk
+        kernel call. Otherwise they are computed now, one by one through
+        the window memo, whose misses are stitched from the held
+        flushes: on loop code the memo's hits beat the kernel (see
         docs/performance.md, "Windows in bulk")."""
         size = st.size
         slide = st.slide
@@ -1152,7 +1172,7 @@ class FusedAnalysisEngine:
             for p in range(first, last + 1, slide):
                 cps.append(~len(todo))
                 todo.append(p)
-        if todo and defer and _BULK_MIN_WINDOWS is not None:
+        if todo and defer:
             entry = _Deferred(st, cps, todo, fills, memo, sig)
             st.next_start += len(todo if cps is None else cps) * slide
             st.queue.append(entry)
@@ -1167,9 +1187,10 @@ class FusedAnalysisEngine:
         else:
             vals = []
         record = self._resolve(cps, vals, fills)
-        if len(memo) >= _FLUSH_MEMO_MAX_ENTRIES:
-            memo.clear()
-        memo[sig] = record
+        if memo is not None:
+            if len(memo) >= _FLUSH_MEMO_MAX_ENTRIES:
+                memo.clear()
+            memo[sig] = record
         self._apply_record(st, record)
 
     @staticmethod
@@ -1184,11 +1205,9 @@ class FusedAnalysisEngine:
         return cps, sum(cps), max(cps, default=0), min(cps, default=0)
 
     def _drain(self) -> None:
-        """Compute every deferred window: per state, all of them in one
-        bulk kernel call when there are at least ``_BULK_MIN_WINDOWS``,
-        else one by one through the window memo. Each deferred flush's
-        record fills its flush memo entry, and every state folds its
-        queued records in order."""
+        """Compute every deferred window, each state's in one bulk
+        kernel call. Each deferred flush's record fills its flush memo
+        entry, and every state folds its queued records in order."""
         deferred = self._deferred
         if not deferred:
             return
@@ -1198,13 +1217,7 @@ class FusedAnalysisEngine:
             by_state.setdefault(entry.st, []).append(entry)
         for st, entries in by_state.items():
             starts = [p for entry in entries for p in entry.todo]
-            if len(starts) >= _BULK_MIN_WINDOWS:
-                vals = self._bulk_cps(starts, st.size, end,
-                                      self._deferred_lo)
-            else:
-                self._materialize(end)
-                memo_cp = self._window_cp_memo
-                vals = [memo_cp(p, st.size) for p in starts]
+            vals = self._bulk_cps(starts, st.size, end, self._deferred_lo)
             i = 0
             for entry in entries:
                 j = i + len(entry.todo)
@@ -1212,9 +1225,10 @@ class FusedAnalysisEngine:
                                              entry.fills)
                 i = j
                 memo = entry.memo
-                if len(memo) >= _FLUSH_MEMO_MAX_ENTRIES:
-                    memo.clear()
-                memo[entry.sig] = entry.record
+                if memo is not None:
+                    if len(memo) >= _FLUSH_MEMO_MAX_ENTRIES:
+                        memo.clear()
+                    memo[entry.sig] = entry.record
         self._deferred = []
         self._deferred_lo = None
         self._plinks = None

@@ -11,15 +11,19 @@ map at the window start. ``WindowedCPProbe`` is the oracle, window by
 window:
 
 * five workloads on both ISAs, on the block-event path, per retirement
-  (a trace writer attached) and through ``replay_config``, with every
-  window forced into the kernel;
-* odd window sizes at slide fractions 0.5, 1.0 and 0.25, with the
-  kernel forced on for every window and switched off;
-* the fuzz corpus with every window in the kernel;
+  (a trace writer attached) and through ``replay_config``;
+* odd window sizes at slide fractions 0.5, 1.0 and 0.25;
+* the fuzz corpus;
+* a SoA flush whose static indices were never seen skips the flush
+  memo; only such flushes defer their windows to the kernel;
 * hand-built programs: accesses spanning two cells, an item that reads
   and writes the same cell, a chain whose every window starts at the
   producer of its second item, and a stream shorter than the window;
 * the bulk counters are telemetry, and replays carry them too.
+
+Block-event flushes with a cell-spanning stretch between them, where
+deferred and stitched windows interleave, are covered in
+``tests/test_window_stitch.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis import AnalysisConfig, FusedAnalysisEngine, WindowedCPProbe
-from repro.analysis import engine as engine_mod
 from repro.asm import assemble
 from repro.compiler import compile_source
 from repro.fuzz.corpus import corpus_files
@@ -50,12 +53,6 @@ from tests.conftest import assert_same
 SCALE = 0.02
 ISAS = ("rv64", "aarch64")
 ODD_SIZES = (3, 7, 33, 1000)
-
-
-@pytest.fixture
-def every_window(monkeypatch):
-    """Every deferred window goes through the kernel."""
-    monkeypatch.setattr(engine_mod, "_BULK_MIN_WINDOWS", 1)
 
 
 def _engine(sizes, slide):
@@ -89,7 +86,7 @@ def _per_retirement(image, isa, sizes, slide):
 # ---------------------------------------------------------------- routes
 
 @pytest.mark.parametrize("name", sorted(ALL_WORKLOADS))
-def test_every_route_matches_probe(name, every_window, monkeypatch):
+def test_every_route_matches_probe(name, monkeypatch):
     workload = get_workload(name, SCALE)
     engines = []
     build = AnalysisConfig.build_engine
@@ -115,7 +112,6 @@ def test_every_route_matches_probe(name, every_window, monkeypatch):
         _assert_windows(batches.results().windowed, expected,
                         f"{name} {isa_name} per retirement")
         assert batches.bulk_windows > 0
-        assert batches.memo_hits + batches.memo_misses == 0
 
         plan = ExperimentPlan(name, isa_name, "gcc12", scale=SCALE,
                               windowed=True, window_sizes=ODD_SIZES)
@@ -128,12 +124,9 @@ def test_every_route_matches_probe(name, every_window, monkeypatch):
             expected[ODD_SIZES[0]].count
 
 
-@pytest.mark.parametrize("threshold", [1, None])
 @pytest.mark.parametrize("slide", [0.5, 1.0, 0.25])
 @pytest.mark.parametrize("name", ["minisweep", "cloverleaf"])
-def test_odd_windows_and_slides_match_probe(name, slide, threshold,
-                                            monkeypatch):
-    monkeypatch.setattr(engine_mod, "_BULK_MIN_WINDOWS", threshold)
+def test_odd_windows_and_slides_match_probe(name, slide):
     workload = get_workload(name, SCALE)
     for isa_name in ISAS:
         compiled = workload.compile(isa_name, "gcc12")
@@ -142,13 +135,10 @@ def test_odd_windows_and_slides_match_probe(name, slide, threshold,
         _assert_windows(engine.results().windowed,
                         _probe(compiled.image, isa, ODD_SIZES, slide),
                         f"{name} {isa_name} slide {slide}")
-        if threshold is None:
-            assert engine.bulk_windows == engine.bulk_calls == 0
-        else:
-            assert engine.bulk_windows > 0
+        assert engine.bulk_windows > 0
 
 
-def test_fuzz_corpus_matches_probe(every_window):
+def test_fuzz_corpus_matches_probe():
     sizes = (3, 16, 200)
     bulk = 0
     for path in corpus_files():
@@ -162,6 +152,23 @@ def test_fuzz_corpus_matches_probe(every_window):
                             f"{path.name} {isa_name}")
             bulk += engine.bulk_windows
     assert bulk > 0
+
+
+@pytest.mark.parametrize("name", ["minibude", "minisweep"])
+def test_unseen_flushes_make_no_flush_memo_lookup(name):
+    # a SoA flush whose static indices no earlier flush had cannot
+    # replay from a flush memo, so no state looks it up: no two batches
+    # of these runs repeat. STREAM's repeating batches replay
+    # (tests/test_window_memo.py).
+    workload = get_workload(name, SCALE)
+    for isa_name in ISAS:
+        compiled = workload.compile(isa_name, "gcc12")
+        engine, _ = _per_retirement(compiled.image,
+                                    get_isa(compiled.isa_name), ODD_SIZES,
+                                    0.5)
+        engine.results()
+        assert engine.batch_memo_hits + engine.batch_memo_misses == 0
+        assert engine.bulk_windows > 0
 
 
 # ----------------------------------------------------- hand-built programs
@@ -236,7 +243,7 @@ _start:
 
 @pytest.mark.parametrize("slide", [0.5, 1.0, 0.25])
 @pytest.mark.parametrize("program", sorted(PROGRAMS))
-def test_hand_built_program_matches_probe(program, slide, every_window):
+def test_hand_built_program_matches_probe(program, slide):
     isa = get_isa("rv64")
     image = program_to_image(assemble(PROGRAMS[program], isa))
     sizes = (2, 3, 7, 33, 1000)

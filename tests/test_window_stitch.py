@@ -7,13 +7,16 @@ window stitch on a window-local cell store, and only the partial
 executions at the window's two ends and SoA segments are walked item by
 item. Per-retirement batches, trace replays and flushes with
 cell-spanning accesses (expanded to cell units) are held as SoA
-segments and stitched the same way. ``WindowedCPProbe`` is the oracle:
+segments; their windows go to the bulk kernel
+(``tests/test_window_kernel.py``), and only the final partial window and
+block-event windows reaching back into them walk their items here.
+``WindowedCPProbe`` is the oracle:
 
 * every workload on both ISAs gives the legacy probes' result, every
   kept CP included, also at odd window sizes and at slide fraction 1.0;
 * the per-retirement path (a trace writer attached) and trace replay
-  stitch their windows too and match the probe window by window, on
-  STREAM and across flushes with cell-spanning accesses;
+  stitch their final partial windows and match the probe window by
+  window, on STREAM and across flushes with cell-spanning accesses;
 * targeted loops match the probe window by window: a copy followed by a
   scale of the copied array (windows straddling the two loops see the
   second read what the first wrote), an in-place update, windows shorter
@@ -37,7 +40,6 @@ import pytest
 
 from repro.analysis import AnalysisConfig, FusedAnalysisEngine, WindowedCPProbe
 from repro.analysis import blocksummary
-from repro.analysis import engine as engine_mod
 from repro.analysis.windowed import PAPER_WINDOW_SIZES
 from repro.asm import assemble
 from repro.compiler import compile_source
@@ -88,7 +90,8 @@ def test_stitch_changes_no_result(name):
 def test_per_retirement_and_replayed_windows_are_stitched(isa, monkeypatch):
     # an attached trace writer does not accept block-summary events, so
     # the engine sees per-retirement batches; replay_config feeds the
-    # recorded batches back. Both stitch their windows from SoA segments.
+    # recorded batches back. Both stitch their final partial windows
+    # from SoA segments.
     workload = get_workload("stream", SCALE)
     expected = _probe_doc("stream", isa, KEEP)
     writer = TraceWriter()
@@ -309,13 +312,14 @@ dst:
 
 
 @pytest.mark.parametrize("isa_name", ISAS)
-def test_spanning_flushes_between_stitched_windows(isa_name, monkeypatch):
+def test_spanning_flushes_between_stitched_windows(isa_name):
     # on the block-event path, on per-retirement batches (a trace writer
-    # attached) and on the replayed trace: every window computed
-    # directly is stitched, those over the spanning stretch included.
-    # With the bulk kernel on, SoA flushes leave their windows to it
-    # (tests/test_window_kernel.py); switched off, they are stitched.
-    monkeypatch.setattr(engine_mod, "_BULK_MIN_WINDOWS", None)
+    # attached) and on the replayed trace. The spanning stretch arrives
+    # as SoA flushes, whose windows the bulk kernel computes
+    # (tests/test_window_kernel.py); on the block-event path the windows
+    # of the flushes after it reach back into its SoA items and are
+    # stitched, walking them. The tail windows are stitched on every
+    # route
     isa = get_isa(isa_name)
     image = program_to_image(assemble(_SPANNING_MIDDLE[isa_name], isa))
     sizes = (7, 200, 2000)
@@ -328,10 +332,12 @@ def test_spanning_flushes_between_stitched_windows(isa_name, monkeypatch):
     assert batches.event_batches == 0
     replayed = _windowed_engine(sizes)
     read_trace(writer.finish()).replay_into([replayed])
+    assert events.stitched_windows > 0 and events.walked_items > 0
     for engine in (events, batches, replayed):
+        _assert_matches_probe(engine, image, isa, sizes)
+        assert engine.bulk_windows > 0
         assert engine.stitched_windows > 0
         assert engine.walked_items > 0
-        _assert_matches_probe(engine, image, isa, sizes)
 
 
 def test_fuzz_corpus_matches_probe():

@@ -147,9 +147,10 @@ WINDOW_WALK_MAX_SHARE = 0.05
 #: Windows computed in bulk (one kernel call per state and drain over
 #: window-relative producer links) must be at least this share of the
 #: windows completed, on minisweep and cloverleaf at ``SCALE`` with
-#: windows 4, 16 and 64, per retirement: 97.1-99.9% when the kernel
-#: was introduced (the rest are flush-memo replays and the final partial
-#: windows). Without the kernel it is 0%.
+#: windows 4, 16 and 64, per retirement: 94.7-99.9% when the kernel
+#: was introduced (the rest are windows of repeated flushes, which take
+#: the memos, and the final partial windows). Without the kernel it is
+#: 0%.
 WINDOW_KERNEL_MIN_SHARE = 0.90
 
 #: Instructions stitched in vector steps (alias-free block events of at
